@@ -1,18 +1,23 @@
 """Golden behaviors of the per-core access path (latency ordering, policy
-wiring, infinite mode, DRAM interaction)."""
+wiring, infinite mode, DRAM interaction), and a differential test holding
+the batched walk to the per-access reference walk."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
+    CacheConfig,
     HierarchyConfig,
     MemoryConfig,
     PartitionConfig,
     ReplacementKind,
+    TlbConfig,
 )
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import CoreMemory, build_llc
-from repro.mem.replacement import HardHarvestPolicy, LruPolicy, RripPolicy
+from repro.mem.replacement import CacheSet, HardHarvestPolicy, LruPolicy, RripPolicy
 from repro.sim.units import cycles_to_ns
+from repro.workloads.memory_profile import AccessBatch
 
 
 @pytest.fixture()
@@ -97,3 +102,121 @@ def test_flush_then_llc_warm_restart_cheaper_than_dram(llc):
     mem.flush_private_full()
     warmish = mem.access(addr, False, False, llc, True, 0)
     assert warmish < cold  # LLC partition survived the private flush
+
+
+# ---------------------------------------------------------------------------
+# Differential test: batched walk vs per-access reference walk
+# ---------------------------------------------------------------------------
+#: Tiny geometries so a few hundred accesses evict, conflict and reach DRAM.
+SMALL = HierarchyConfig(
+    l1d=CacheConfig("L1D", 4 * 64 * 8, 4, 64, 5),
+    l1i=CacheConfig("L1I", 4 * 64 * 4, 4, 64, 5),
+    l2=CacheConfig("L2", 8 * 64 * 16, 8, 64, 13),
+    llc_per_core=CacheConfig("LLC", 8 * 64 * 16, 8, 64, 36),
+    l1_tlb=TlbConfig("L1TLB", 8, 4, 2),
+    l2_tlb=TlbConfig("L2TLB", 32, 8, 12),
+)
+
+
+def _random_batch(rng, n):
+    hot = rng.integers(0, 64, size=n) * 64 + rng.integers(0, 8, size=n) * 4096
+    cold = rng.integers(0, 1 << 22, size=n)
+    addr = np.where(rng.random(n) < 0.6, hot, cold).astype(np.int64)
+    return AccessBatch(
+        addr, rng.random(n) < 0.5, rng.random(n) < 0.3, rng.random(n) < 0.3
+    )
+
+
+def _arrays(mem, llcs):
+    return [
+        mem.l1_tlb.array, mem.l2_tlb.array, mem.l1i.array, mem.l1d.array,
+        mem.l2.array,
+    ] + [llc.array for llc in llcs]
+
+
+def _array_state(arr):
+    arr.settle()
+    sets = {
+        i: tuple(
+            getattr(cset, slot) for slot in CacheSet.__slots__
+        )
+        for i, cset in sorted(arr.sets.items())
+    }
+    return (arr.hits, arr.misses, arr.evictions, arr.writebacks, arr.trace, sets)
+
+
+def _run_differential(hierarchy, kind, partition, is_primary, with_llc,
+                      trace_l2=False, batches=30, seed=0):
+    """Drive two identical cores with the same batches and flushes, one
+    through ``access_batch`` and one through per-access ``access``."""
+    part = PartitionConfig(enabled=partition, replacement=kind)
+    mems, llc_sets = [], []
+    for _ in range(2):
+        mems.append(CoreMemory(hierarchy, part, DramModel(MemoryConfig())))
+        llc_sets.append(
+            [build_llc(f"llc{i}", hierarchy, 2) for i in range(2)] if with_llc else []
+        )
+        if trace_l2:
+            mems[-1].l2.array.enable_trace()
+    fast, ref = mems
+    rng = np.random.default_rng(seed)
+    now = 0
+    saturated = False
+    for _ in range(batches):
+        batch = _random_batch(rng, int(rng.integers(1, 400)))
+        # Mostly back-to-back batches (DRAM pressure builds), sometimes a
+        # long gap, sometimes time going backwards (clamped to gap 0).
+        now += int(rng.choice([0, 1, 50_000, -3]))
+        pick = int(rng.integers(0, 2))
+        llc_fast = llc_sets[0][pick] if with_llc else None
+        llc_ref = llc_sets[1][pick] if with_llc else None
+        got = fast.access_batch(batch, llc_fast, is_primary, now)
+        want = sum(
+            ref.access(a, sh, ins, llc_ref, is_primary, now, wr)
+            for a, sh, ins, wr in batch
+        )
+        assert got == want
+        saturated |= ref.dram._avg_gap_ns < ref.dram.LINE_BYTES / 102.4
+        roll = rng.random()
+        if roll < 0.25:
+            for mem in mems:
+                mem.flush_harvest_region()
+        elif roll < 0.35:
+            for mem in mems:
+                mem.flush_private_full()
+    for a_fast, a_ref in zip(_arrays(fast, llc_sets[0]), _arrays(ref, llc_sets[1])):
+        assert _array_state(a_fast) == _array_state(a_ref), a_fast.name
+    dram_state = [
+        (m.dram.accesses, m.dram._avg_gap_ns, m.dram._last_access_ns) for m in mems
+    ]
+    assert dram_state[0] == dram_state[1]
+    return fast, saturated
+
+
+@pytest.mark.parametrize("with_llc", [True, False], ids=["llc", "no-llc"])
+@pytest.mark.parametrize("is_primary", [True, False], ids=["primary", "harvest"])
+@pytest.mark.parametrize("partition", [True, False], ids=["part", "nopart"])
+@pytest.mark.parametrize(
+    "kind",
+    [ReplacementKind.LRU, ReplacementKind.RRIP, ReplacementKind.HARDHARVEST],
+    ids=lambda k: k.value,
+)
+def test_access_batch_matches_per_access_walk(kind, partition, is_primary, with_llc):
+    fast, saturated = _run_differential(SMALL, kind, partition, is_primary, with_llc)
+    assert fast.l2.array.writebacks > 0 or fast.l1d.array.writebacks > 0
+    assert saturated  # the DRAM pressure branch was exercised
+
+
+def test_access_batch_fallback_non_power_of_two_sets():
+    from dataclasses import replace
+
+    h = replace(SMALL, l2=CacheConfig("L2", 8 * 64 * 12, 8, 64, 13))
+    fast, _ = _run_differential(h, ReplacementKind.RRIP, True, False, True)
+    assert fast.l2.array.num_sets == 12
+
+
+def test_access_batch_fallback_l2_trace():
+    fast, _ = _run_differential(
+        SMALL, ReplacementKind.HARDHARVEST, True, True, True, trace_l2=True
+    )
+    assert fast.l2.array.trace

@@ -126,8 +126,11 @@ def test_partition_masks_disjoint_and_complete(ways, frac):
 @given(
     ops=st.lists(
         st.one_of(
-            st.tuples(st.just("access"), st.integers(0, 3), st.integers(0, 20)),
-            st.tuples(st.just("flush"), st.integers(0, 15), st.just(0)),
+            st.tuples(
+                st.just("access"), st.integers(0, 3), st.integers(0, 20),
+                st.booleans(),
+            ),
+            st.tuples(st.just("flush"), st.integers(0, 15), st.just(0), st.just(False)),
         ),
         min_size=1,
         max_size=120,
@@ -136,30 +139,38 @@ def test_partition_masks_disjoint_and_complete(ways, frac):
 @settings(max_examples=80, deadline=None)
 def test_lazy_flush_matches_eager_model(ops):
     """The epoch-based lazy flush must be observationally equivalent to an
-    eagerly-invalidated reference model."""
+    eagerly-invalidated reference model, write-backs of dirty lines dropped
+    by (overlapping, partial) flushes included."""
     arr = SetAssocArray("lazy", 4, 4, LruPolicy())
-    reference = {}  # (set, tag) -> way, mirrored eagerly
+    reference = {}  # (set, tag) -> [way, dirty], mirrored eagerly
+    writebacks = 0
     mask_all = full_mask(4)
-    for op, a, b in ops:
+    for op, a, b, write in ops:
         if op == "access":
-            got = arr.access(a, b, False, mask_all)
+            got = arr.access(a, b, False, mask_all, write)
             want = (a, b) in reference
             assert got == want
-            if not want:
+            if want:
+                reference[(a, b)][1] |= write
+            else:
                 # Mirror the fill and any eviction.
                 arr_set = arr.sets[a]
                 filled_way = arr_set.find(b, mask_all)
                 # Remove whatever reference had in that way.
-                for key, way in list(reference.items()):
+                for key, (way, dirty) in list(reference.items()):
                     if key[0] == a and way == filled_way:
+                        writebacks += dirty
                         del reference[key]
-                reference[(a, b)] = filled_way
+                reference[(a, b)] = [filled_way, write]
         else:
             way_mask = a & mask_all
             arr.flush_ways(way_mask)
-            for key, way in list(reference.items()):
+            for key, (way, dirty) in list(reference.items()):
                 if (way_mask >> way) & 1:
+                    writebacks += dirty
                     del reference[key]
+    arr.settle()
+    assert arr.writebacks == writebacks
 
 
 # ---------------------------------------------------------------------------
