@@ -62,17 +62,13 @@ class SetAssocArray:
         self.writebacks = 0
         self.trace: Optional[List[Tuple[int, int, bool]]] = None
         self._trace_limit: Optional[int] = None
-        # Epoch-based lazy flushing: flush_ways() only bumps per-way flush
-        # epochs; a set reconciles (drops stale entries) the next time it is
-        # touched. Equivalent to eager invalidation, O(touched sets) cost.
+        # Epoch-based lazy flushing: flush_ways() only logs the flushed mask
+        # with a new epoch ({mask: epoch of its last flush}); a set
+        # reconciles (drops stale entries) the next time it is touched.
+        # Equivalent to eager invalidation, O(touched sets) cost. Harvest
+        # flushes reuse one or two masks, so the log stays that short.
         self._flush_epoch = 0
-        self._way_flushed_at = [0] * ways
-        # seen-epoch -> mask of ways flushed after it, memoized between
-        # flushes (cleared on every flush_ways). Reconciling N sets that
-        # share a seen epoch then costs one way scan, not N.
-        self._stale_masks: Dict[int, int] = {}
-        # flush mask -> tuple of its way indices (see flush_ways).
-        self._flush_way_lists: Dict[int, Tuple[int, ...]] = {}
+        self._flush_log: Dict[int, int] = {}
         self.fast = not slowpath_enabled()
 
     # ------------------------------------------------------------------
@@ -143,25 +139,21 @@ class SetAssocArray:
         return cset.find(tag, allowed) >= 0
 
     # ------------------------------------------------------------------
-    def _stale_mask(self, seen: int) -> int:
-        """Mask of ways flushed after epoch ``seen`` (memoized per epoch)."""
-        m = self._stale_masks.get(seen)
-        if m is None:
-            flushed_at = self._way_flushed_at
-            m = 0
-            for w in range(self.ways):
-                if flushed_at[w] > seen:
-                    m |= 1 << w
-            self._stale_masks[seen] = m
-        return m
+    def _reconcile(self, cset: CacheSet) -> None:
+        """Apply pending way flushes to one set.
 
-    def _reconcile(self, cset: CacheSet) -> int:
-        """Apply pending way flushes to one set; returns entries dropped.
-
+        A way is stale for a set last reconciled at epoch ``seen`` exactly
+        when some mask holding it was last flushed after ``seen``.
         Flushing a dirty line is a write-back-and-invalidate (wbinvd
         semantics): the write-back is counted when the flush lands."""
-        dropped = 0
-        stale = self._stale_mask(cset.seen_flush) & cset.valid_mask
+        stale = cset.valid_mask
+        if stale:
+            seen = cset.seen_flush
+            flushed = 0
+            for mask, epoch in self._flush_log.items():
+                if epoch > seen:
+                    flushed |= mask
+            stale &= flushed
         if stale:
             cset.valid_mask &= ~stale
             valid = cset.valid
@@ -182,30 +174,18 @@ class SetAssocArray:
                 if dirty[w]:
                     dirty[w] = False
                     self.writebacks += 1
-                dropped += 1
         cset.seen_flush = self._flush_epoch
-        return dropped
 
     def flush_ways(self, mask: int) -> int:
         """Invalidate all entries in the ways of ``mask``.
 
-        Lazy: marks the ways flushed; sets reconcile on next touch. Returns
-        the number of ways marked (not entries — counting entries would
-        defeat the laziness)."""
+        Lazy: logs the flush; sets reconcile on next touch. Returns the
+        number of ways marked (not entries — counting entries would defeat
+        the laziness)."""
+        mask &= (1 << self.ways) - 1
         self._flush_epoch += 1
-        self._stale_masks.clear()
-        # Harvest flushes repeat the same one or two masks for the whole
-        # run; memoize the mask decode so each flush is a short way-list
-        # walk instead of a per-way bit test.
-        cached = self._flush_way_lists.get(mask)
-        if cached is None:
-            cached = tuple(w for w in range(self.ways) if (mask >> w) & 1)
-            self._flush_way_lists[mask] = cached
-        epoch = self._flush_epoch
-        wfa = self._way_flushed_at
-        for w in cached:
-            wfa[w] = epoch
-        return len(cached)
+        self._flush_log[mask] = self._flush_epoch
+        return bin(mask).count("1")
 
     def flush_all(self) -> int:
         return self.flush_ways((1 << self.ways) - 1)
@@ -229,11 +209,6 @@ class SetAssocArray:
         """Number of valid entries across all sets."""
         self.settle()
         return sum(sum(cset.valid) for cset in self.sets.values())
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class Cache:

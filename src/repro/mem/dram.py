@@ -27,14 +27,28 @@ class DramModel:
 
     def access_latency(self, now_ns: int) -> int:
         """Latency (ns) of one line fill issued at ``now_ns``."""
-        self.accesses += 1
-        gap = max(0, now_ns - self._last_access_ns)
-        self._last_access_ns = now_ns
-        self._avg_gap_ns = 0.99 * self._avg_gap_ns + 0.01 * gap
+        return self.burst_latency(now_ns, 1)
+
+    def burst_latency(self, now_ns: int, count: int) -> int:
+        """Summed latency (ns) of ``count`` line fills issued one after
+        another at ``now_ns``: the same as ``count`` calls of
+        :meth:`access_latency`, with the model's state kept in locals."""
+        access_ns = self.config.access_ns
         # Gap that saturates the configured bandwidth for 64B lines.
         saturation_gap = self.LINE_BYTES / self.config.bandwidth_gbps  # ns
-        if self._avg_gap_ns < saturation_gap:
-            # Pressure: queueing inflates latency up to 3x at full saturation.
-            pressure = min(1.0, saturation_gap / max(self._avg_gap_ns, 1e-9) - 1.0)
-            return int(self.config.access_ns * (1.0 + 2.0 * pressure))
-        return self.config.access_ns
+        avg = self._avg_gap_ns
+        gap = max(0, now_ns - self._last_access_ns)
+        total = 0
+        for _ in range(count):
+            avg = 0.99 * avg + 0.01 * gap
+            gap = 0
+            if avg < saturation_gap:
+                # Pressure: queueing inflates latency up to 3x at full saturation.
+                pressure = min(1.0, saturation_gap / max(avg, 1e-9) - 1.0)
+                total += int(access_ns * (1.0 + 2.0 * pressure))
+            else:
+                total += access_ns
+        self.accesses += count
+        self._avg_gap_ns = avg
+        self._last_access_ns = now_ns
+        return total

@@ -122,14 +122,6 @@ class CacheSet:
                 del self.index[tag]
         return True
 
-    def invalidate_ways(self, mask: int) -> int:
-        """Invalidate every way selected by ``mask``; returns count flushed."""
-        n = 0
-        for w in range(self.ways):
-            if (mask >> w) & 1 and self.invalidate_way(w):
-                n += 1
-        return n
-
     def touch(self, way: int) -> None:
         """Bump the recency stamp of ``way`` (most recently used)."""
         self.clock += 1

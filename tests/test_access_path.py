@@ -110,7 +110,7 @@ def test_flush_then_llc_warm_restart_cheaper_than_dram(llc):
 #: Tiny geometries so a few hundred accesses evict, conflict and reach DRAM.
 SMALL = HierarchyConfig(
     l1d=CacheConfig("L1D", 4 * 64 * 8, 4, 64, 5),
-    l1i=CacheConfig("L1I", 4 * 64 * 4, 4, 64, 5),
+    l1i=CacheConfig("L1I", 4 * 64 * 4, 4, 64, 4),
     l2=CacheConfig("L2", 8 * 64 * 16, 8, 64, 13),
     llc_per_core=CacheConfig("LLC", 8 * 64 * 16, 8, 64, 36),
     l1_tlb=TlbConfig("L1TLB", 8, 4, 2),
@@ -161,6 +161,7 @@ def _run_differential(hierarchy, kind, partition, is_primary, with_llc,
     fast, ref = mems
     rng = np.random.default_rng(seed)
     now = 0
+    saturation_gap = DramModel.LINE_BYTES / MemoryConfig().bandwidth_gbps
     saturated = False
     for _ in range(batches):
         batch = _random_batch(rng, int(rng.integers(1, 400)))
@@ -176,7 +177,7 @@ def _run_differential(hierarchy, kind, partition, is_primary, with_llc,
             for a, sh, ins, wr in batch
         )
         assert got == want
-        saturated |= ref.dram._avg_gap_ns < ref.dram.LINE_BYTES / 102.4
+        saturated |= ref.dram._avg_gap_ns < saturation_gap
         roll = rng.random()
         if roll < 0.25:
             for mem in mems:
@@ -203,16 +204,17 @@ def _run_differential(hierarchy, kind, partition, is_primary, with_llc,
 )
 def test_access_batch_matches_per_access_walk(kind, partition, is_primary, with_llc):
     fast, saturated = _run_differential(SMALL, kind, partition, is_primary, with_llc)
-    assert fast.l2.array.writebacks > 0 or fast.l1d.array.writebacks > 0
+    assert fast.l1d.array.writebacks > 0
     assert saturated  # the DRAM pressure branch was exercised
 
 
-def test_access_batch_fallback_non_power_of_two_sets():
+@pytest.mark.parametrize("level", ["l2", "llc_per_core"])
+def test_access_batch_fallback_non_power_of_two_sets(level):
     from dataclasses import replace
 
-    h = replace(SMALL, l2=CacheConfig("L2", 8 * 64 * 12, 8, 64, 13))
+    h = replace(SMALL, **{level: CacheConfig(level, 8 * 64 * 12, 8, 64, 13)})
     fast, _ = _run_differential(h, ReplacementKind.RRIP, True, False, True)
-    assert fast.l2.array.num_sets == 12
+    assert getattr(h, level).num_sets == 12
 
 
 def test_access_batch_fallback_l2_trace():

@@ -47,8 +47,9 @@ class TestSetAssocArray:
         allowed = full_mask(2)
         arr.access(0, 1, False, allowed)  # lands in some way
         arr.access(0, 2, False, allowed)
-        arr.flush_ways(0b01)  # invalidate way 0 only
+        assert arr.flush_ways(0b01) == 1  # invalidate way 0 only
         assert arr.occupancy() == 1
+        assert arr.flush_ways(0b110) == 1  # bits past the last way are ignored
 
     def test_lazy_flush_equivalent_to_eager(self):
         """Entries in flushed ways must miss on the next access even though
@@ -61,6 +62,17 @@ class TestSetAssocArray:
         # No settle() call: the access path itself must observe the flush.
         assert arr.access(0, 7, False, allowed) is False
         assert arr.access(1, 9, False, allowed) is False
+
+    def test_refill_survives_a_later_flush_of_other_ways(self):
+        """A set reconciled after one mask's flush keeps what it refilled
+        there when a different mask is flushed later."""
+        arr = make_array(sets=1, ways=2)
+        allowed = full_mask(2)
+        arr.access(0, 1, False, allowed)  # way 0
+        arr.flush_ways(0b01)
+        arr.access(0, 2, False, allowed)  # reconciles, refills way 0
+        arr.flush_ways(0b10)
+        assert arr.access(0, 2, False, allowed) is True
 
     def test_flush_then_refill_then_flush_older_epoch(self):
         arr = make_array(sets=1, ways=2)
