@@ -11,29 +11,60 @@ here so the scripts stay thin and measure the same way:
 * **CPU time headline.** ``time.process_time`` is immune to the process
   being descheduled; wall time is recorded alongside for context.
 * **Digest guards.** A speedup between modes is only meaningful if the
-  modes computed the same thing; :func:`digest_of` hashes the canonical
-  JSON of a full result and :func:`require_same_digest` aborts the
-  benchmark on any divergence, so a reported number can never come from a
-  behavioral shortcut.
+  modes computed the same thing; every run reports the digest of its full
+  result and :func:`require_same_digest` aborts the benchmark on any
+  divergence, so a reported number can never come from a behavioral
+  shortcut.
+* **Pinned baseline.** The speedup benchmarks time the current tree
+  against :data:`BASELINE_COMMIT`, unpacked by :func:`baseline_src`:
+  each run is one ``benchmarks/_driver.py`` process
+  (:func:`run_driver`) importing ``repro`` from the tree under test, so
+  both sides are timed by the same code.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
+import io
 import json
 import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.export import server_result_to_dict
-from repro.parallel.cache import canonical_json
+#: The timing baseline: the last commit that still carries the in-tree
+#: reference implementations the speedup benchmarks divide by, selected
+#: there by :data:`BASELINE_SWITCHES`.  Its results are bit-identical to
+#: the current tree's, so every digest guard still holds across the two.
+BASELINE_COMMIT = "4e2a39eaaa188872b9ff6fbdf6f877076658d1f8"
+
+#: Environment switches that exist at :data:`BASELINE_COMMIT` (each set to
+#: "1" selects one reference implementation).  :func:`run_driver` clears
+#: them before applying a mode's own, so an inherited value never leaks
+#: into a run.
+BASELINE_SWITCHES = (
+    "REPRO_MEM_SLOWPATH",
+    "REPRO_SCHED_SLOWPATH",
+    "REPRO_DATAPLANE_SLOWPATH",
+)
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_REPO = os.path.dirname(_HERE)
+_DRIVER = os.path.join(_HERE, "_driver.py")
+
+#: The current tree's sources, the other side of every ratio.
+HEAD_SRC = os.path.join(_REPO, "src")
 
 
 class Sample:
     """One timed run: wall seconds, CPU seconds, and the run's value
-    (whatever the mode thunk returned — typically a result digest)."""
+    (the result digest of a :func:`driver` run, whatever the function of
+    a :func:`timed` mode returned)."""
 
     __slots__ = ("wall", "cpu", "value")
 
@@ -44,51 +75,98 @@ class Sample:
 
 
 @contextlib.contextmanager
-def env_overrides(overrides: Dict[str, Optional[str]]):
-    """Temporarily set (value) or clear (None) environment variables.
+def baseline_src() -> Iterator[str]:
+    """Unpack ``git archive BASELINE_COMMIT src`` into a temp dir; yields
+    the path of its ``src`` (removed on exit).
 
-    The slow-path switches are read at *construction* time of each
-    simulator/array, so flipping them between runs in one process selects
-    the implementation cleanly — this context manager is how a benchmark
-    mode requests its implementation.
+    Exits non-zero, naming the commit, when this clone does not hold it
+    (a shallow CI checkout needs ``fetch-depth: 0``).
     """
-    saved = {name: os.environ.get(name) for name in overrides}
+    archive = subprocess.run(
+        ["git", "-C", _REPO, "archive", BASELINE_COMMIT, "src"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if archive.returncode != 0:
+        raise SystemExit(
+            f"baseline commit {BASELINE_COMMIT} is not in this clone "
+            f"({archive.stderr.decode(errors='replace').strip()}); "
+            "fetch the full history (e.g. actions/checkout with "
+            "fetch-depth: 0)"
+        )
+    tree = tempfile.mkdtemp(prefix="repro-baseline.")
     try:
-        for name, value in overrides.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        yield
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(tree, filter="data")
+            else:  # Python without extraction filters
+                tar.extractall(tree)
+        yield os.path.join(tree, "src")
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        shutil.rmtree(tree, ignore_errors=True)
 
 
-def timed_call(fn: Callable[[], object]) -> Sample:
-    """Run ``fn`` once under the standard clocks (after a GC sweep, so a
-    previous run's garbage is not charged to this one)."""
-    gc.collect()
-    t0_wall, t0_cpu = time.perf_counter(), time.process_time()
-    value = fn()
-    wall = time.perf_counter() - t0_wall
-    cpu = time.process_time() - t0_cpu
-    return Sample(wall, cpu, value)
+def run_driver(
+    src: str, spec: dict, env: Optional[Dict[str, str]] = None
+) -> dict:
+    """Run one ``benchmarks/_driver.py`` workload from the source tree
+    ``src`` in a fresh interpreter; returns the record it prints.
+
+    The child sees this process's environment minus
+    :data:`BASELINE_SWITCHES`, plus ``env``, with ``PYTHONPATH`` set to
+    ``src`` alone.
+    """
+    child_env = {
+        k: v for k, v in os.environ.items() if k not in BASELINE_SWITCHES
+    }
+    child_env.update(env or {})
+    child_env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, _DRIVER, src, json.dumps(spec)],
+        env=child_env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def driver(
+    src: str, spec: dict, env: Optional[Dict[str, str]] = None
+) -> Callable[[], Sample]:
+    """A mode for :func:`interleaved_rounds`: one :func:`run_driver` run,
+    timed inside its own process."""
+    def sample() -> Sample:
+        record = run_driver(src, spec, env)
+        return Sample(record["wall_s"], record["cpu_s"], record["digest"])
+
+    return sample
+
+
+def timed(fn: Callable[[], object]) -> Callable[[], Sample]:
+    """A mode for :func:`interleaved_rounds`: ``fn`` run in this process
+    under the standard clocks (after a GC sweep, so a previous run's
+    garbage is not charged to this one)."""
+    def sample() -> Sample:
+        gc.collect()
+        t0_wall, t0_cpu = time.perf_counter(), time.process_time()
+        value = fn()
+        wall = time.perf_counter() - t0_wall
+        cpu = time.process_time() - t0_cpu
+        return Sample(wall, cpu, value)
+
+    return sample
 
 
 def interleaved_rounds(
-    modes: Sequence[Tuple[str, Callable[[], object]]],
+    modes: Sequence[Tuple[str, Callable[[], Sample]]],
     rounds: int,
     progress: Optional[Callable[[str], None]] = print,
 ) -> Dict[str, List[Sample]]:
-    """Run every mode once per round, in order; returns samples per mode."""
+    """Run every mode once per round, in order; returns samples per mode.
+
+    A mode is ``(name, sampler)``: see :func:`timed` and :func:`driver`.
+    """
     samples: Dict[str, List[Sample]] = {name: [] for name, _ in modes}
     for rnd in range(rounds):
-        for name, fn in modes:
-            s = timed_call(fn)
+        for name, sampler in modes:
+            s = sampler()
             samples[name].append(s)
             if progress is not None:
                 progress(
@@ -103,12 +181,6 @@ def best_cpu(samples: Iterable[Sample]) -> float:
 
 def best_wall(samples: Iterable[Sample]) -> float:
     return min(s.wall for s in samples)
-
-
-def digest_of(result) -> str:
-    """sha256 of the canonical JSON of a full ServerResult."""
-    payload = canonical_json(server_result_to_dict(result))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def require_same_digest(samples: Dict[str, List[Sample]]) -> str:

@@ -1,27 +1,27 @@
-"""Memory-hierarchy fast-path speedup benchmark (single server, fig11 config).
+"""Memory-hierarchy speedup benchmark (single server, fig11 config).
 
-Runs the same simulation twice per round — once with
-``REPRO_MEM_SLOWPATH=1`` (the reference per-access implementation, a live
-replica of the pre-fast-path behavior) and once on the batched fast path —
-and records best-of-N wall and CPU times plus their ratio under
+Runs the same simulation twice per round — once from the pinned baseline
+tree (``_timing.BASELINE_COMMIT``) with ``REPRO_MEM_SLOWPATH=1``, that
+commit's reference per-access implementation and a live replica of the
+pre-fast-path behavior, and once from the current tree's batched memory
+walk — and records best-of-N wall and CPU times plus their ratio under
 ``bench_results/BENCH_hotpath.json``.
 
 Both modes must produce the *same result digest* (bit-identity is the
-fast path's contract, pinned independently by ``tests/test_hotpath_parity.py``);
-the benchmark aborts if they diverge, so a speedup number can never come
-from a behavioral shortcut.
+memory walk's contract, pinned independently by
+``tests/test_hotpath_parity.py``); the benchmark aborts if they diverge,
+so a speedup number can never come from a behavioral shortcut.
 
 Methodology (see :mod:`benchmarks._timing`): interleaved rounds,
-best-of-N, CPU-time headline, digest guard.  One scope note specific to
-this benchmark:
+best-of-N, CPU-time headline, digest guard, each run in its own
+``benchmarks/_driver.py`` process.  Scope note: the reference carries the
+per-access *algorithms* (linear tag scans, scalar access/sampling loops)
+over the baseline commit's data structures, which include hashed-index
+upkeep the original tree did not pay on fills, so the ratio tracks the
+cost of the reference access algorithms rather than the speedup over the
+original seed tree.
 
-* The baseline carries the reference *algorithms* (linear tag scans,
-  scalar per-access loops) over the current data structures, which
-  include hashed-index upkeep the original tree did not pay on fills.
-  A checkout of the pre-PR tree measures ~1.85 s CPU on the default
-  config (vs ~2.5 s for the in-tree reference mode), so the speedup
-  against the true seed is ~1.3x; the in-tree ratio reported here tracks
-  the cost of the reference access algorithms themselves.
+Needs the baseline commit in the local clone (full history).
 
 Usage::
 
@@ -35,36 +35,18 @@ import argparse
 import platform
 
 import repro
-from repro.config import SimulationConfig
-from repro.core.experiment import run_server
-from repro.core.presets import hardharvest_block
-from repro.mem.cache import SLOWPATH_ENV
 
 from _timing import (
+    BASELINE_COMMIT,
+    HEAD_SRC,
+    baseline_src,
     best_cpu,
     best_wall,
-    digest_of,
-    env_overrides,
+    driver,
     interleaved_rounds,
     require_same_digest,
     write_record,
 )
-
-
-def _mode_runner(cfg: SimulationConfig, slowpath: bool):
-    """Thunk running one construction+run in the requested mode.
-
-    The slow-path switch is read at construction time of every array and
-    sampler, so flipping the environment variable between runs in one
-    process selects the implementation cleanly.
-    """
-    overrides = {SLOWPATH_ENV: "1" if slowpath else None}
-
-    def run():
-        with env_overrides(overrides):
-            return digest_of(run_server(hardharvest_block(), cfg))
-
-    return run
 
 
 def main(argv=None) -> int:
@@ -81,16 +63,20 @@ def main(argv=None) -> int:
                         help="output path (default bench_results/BENCH_hotpath.json)")
     args = parser.parse_args(argv)
 
-    cfg = SimulationConfig(
-        seed=args.seed, horizon_ms=args.horizon_ms, warmup_ms=args.warmup_ms
-    )
-    samples = interleaved_rounds(
-        [
-            ("reference", _mode_runner(cfg, True)),
-            ("fast", _mode_runner(cfg, False)),
-        ],
-        args.rounds,
-    )
+    spec = {
+        "workload": "server",
+        "seed": args.seed,
+        "horizon_ms": args.horizon_ms,
+        "warmup_ms": args.warmup_ms,
+    }
+    with baseline_src() as base:
+        samples = interleaved_rounds(
+            [
+                ("reference", driver(base, spec, {"REPRO_MEM_SLOWPATH": "1"})),
+                ("fast", driver(HEAD_SRC, spec)),
+            ],
+            args.rounds,
+        )
 
     try:
         digest = require_same_digest(samples)
@@ -115,6 +101,7 @@ def main(argv=None) -> int:
             "warmup_ms": args.warmup_ms,
         },
         "rounds": args.rounds,
+        "baseline_commit": BASELINE_COMMIT,
         "reference_cpu_s": round(ref_cpu, 3),
         "fast_cpu_s": round(fast_cpu, 3),
         "reference_wall_s": round(ref_wall, 3),
@@ -123,11 +110,11 @@ def main(argv=None) -> int:
         "speedup_wall": round(ref_wall / fast_wall, 3),
         "digest": digest,
         "baseline_note": (
-            "reference = in-tree REPRO_MEM_SLOWPATH algorithms (linear tag "
-            "scans, scalar access/sampling loops) over current data "
-            "structures; the pre-fast-path git tree measures ~1.85s CPU on "
-            "this config, ~1.3x vs the fast path. For the combined "
-            "memory+scheduler ratio see BENCH_sched_hotpath.json."
+            "reference = baseline_commit run with REPRO_MEM_SLOWPATH=1 (linear "
+            "tag scans, scalar access/sampling loops over that commit's data "
+            "structures); fast = the current tree. Each run is its own "
+            "benchmarks/_driver.py process timing the run alone. For the "
+            "combined memory+scheduler ratio see BENCH_sched_hotpath.json."
         ),
     }
     write_record(record, "BENCH_hotpath.json", args.out)

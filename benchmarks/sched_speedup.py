@@ -1,35 +1,37 @@
-"""Scheduler + combined fast-path speedup benchmark (single server, fig11 config).
+"""Scheduler + combined speedup benchmark (single server, fig11 config).
 
 Times the same simulation in three modes per interleaved round:
 
-* ``reference`` — ``REPRO_MEM_SLOWPATH=1`` *and* ``REPRO_SCHED_SLOWPATH=1``:
-  both in-tree reference implementations together, a live replica of the
+* ``reference`` — the pinned baseline tree (``_timing.BASELINE_COMMIT``)
+  with ``REPRO_MEM_SLOWPATH=1`` *and* ``REPRO_SCHED_SLOWPATH=1``: both of
+  that commit's reference implementations together, a live replica of the
   pre-fast-path behavior and the denominator of the headline
   ``speedup_cpu``;
-* ``sched_reference`` — ``REPRO_SCHED_SLOWPATH=1`` only (fast memory, the
-  reference one-event-at-a-time engine loop and object-walk queue scans):
-  isolates what the scheduler layer contributes on top of the memory
-  fast path;
-* ``fast`` — both fast paths (the default configuration).
+* ``sched_reference`` — the baseline tree with ``REPRO_SCHED_SLOWPATH=1``
+  only (its batched memory walk, the reference one-event-at-a-time engine
+  loop and object-walk queue scans): isolates what the scheduler layer
+  contributes on top of a batched memory walk;
+* ``fast`` — the current tree.
 
 All three modes must produce the *same result digest* (bit-identity is
-the fast paths' contract, pinned independently by
+the hot paths' contract, pinned independently by
 ``tests/test_hotpath_parity.py``); the benchmark aborts on divergence, so
 a speedup number can never come from a behavioral shortcut.
 
 Methodology (see :mod:`benchmarks._timing`): interleaved rounds,
-best-of-N, CPU-time headline, digest guard.
+best-of-N, CPU-time headline, digest guard, each run in its own
+``benchmarks/_driver.py`` process.
 
-Honest-numbers note: the combined speedup on the default config measures
-~1.8–2.0x on the development host. The memory layer dominates the
-reference cost (its isolated ratio is ~2.2x asymptotically); the
-scheduler layer's marginal contribution over fast memory is small at
-this single-server config (~1.0–1.2x; it grows on queue-heavy cluster
-configs), because post-memory-fast-path wall time is mostly cache-walk
-work, not event dispatch. The original 2.5x combined target is not
-reachable without de-optimizing the reference, which this benchmark
-refuses to do — the reference branches are the live, parity-tested
-pre-PR algorithms.
+Honest-numbers note: the memory layer dominates the reference cost; the
+scheduler layer's marginal contribution over a batched memory walk is
+small at this single-server config (~1.0–1.2x; it grows on queue-heavy
+cluster configs), because once the walk is batched, wall time is mostly
+cache-walk work, not event dispatch.  ``sched_reference`` runs the
+baseline commit's memory walk, a few percent faster than the current
+one, so ``sched_layer_speedup_cpu`` slightly understates the scheduler
+layer.
+
+Needs the baseline commit in the local clone (full history).
 
 Usage::
 
@@ -43,36 +45,24 @@ import argparse
 import platform
 
 import repro
-from repro.config import SimulationConfig
-from repro.core.experiment import run_server
-from repro.core.presets import hardharvest_block
-from repro.mem.cache import SLOWPATH_ENV
-from repro.sim.engine import SCHED_SLOWPATH_ENV
 
 from _timing import (
+    BASELINE_COMMIT,
+    HEAD_SRC,
+    baseline_src,
     best_cpu,
     best_wall,
-    digest_of,
-    env_overrides,
+    driver,
     interleaved_rounds,
     require_same_digest,
     write_record,
 )
 
-#: Mode name -> environment overrides selecting its implementation.
-MODES = {
-    "reference": {SLOWPATH_ENV: "1", SCHED_SLOWPATH_ENV: "1"},
-    "sched_reference": {SLOWPATH_ENV: None, SCHED_SLOWPATH_ENV: "1"},
-    "fast": {SLOWPATH_ENV: None, SCHED_SLOWPATH_ENV: None},
+#: Baseline-tree mode name -> the switches selecting its implementation.
+BASELINE_MODES = {
+    "reference": {"REPRO_MEM_SLOWPATH": "1", "REPRO_SCHED_SLOWPATH": "1"},
+    "sched_reference": {"REPRO_SCHED_SLOWPATH": "1"},
 }
-
-
-def _mode_runner(cfg: SimulationConfig, overrides):
-    def run():
-        with env_overrides(overrides):
-            return digest_of(run_server(hardharvest_block(), cfg))
-
-    return run
 
 
 def main(argv=None) -> int:
@@ -89,13 +79,19 @@ def main(argv=None) -> int:
                         help="output path (default bench_results/BENCH_sched_hotpath.json)")
     args = parser.parse_args(argv)
 
-    cfg = SimulationConfig(
-        seed=args.seed, horizon_ms=args.horizon_ms, warmup_ms=args.warmup_ms
-    )
-    modes = [
-        (name, _mode_runner(cfg, overrides)) for name, overrides in MODES.items()
-    ]
-    samples = interleaved_rounds(modes, args.rounds)
+    spec = {
+        "workload": "server",
+        "seed": args.seed,
+        "horizon_ms": args.horizon_ms,
+        "warmup_ms": args.warmup_ms,
+    }
+    with baseline_src() as base:
+        modes = [
+            (name, driver(base, spec, switches))
+            for name, switches in BASELINE_MODES.items()
+        ]
+        modes.append(("fast", driver(HEAD_SRC, spec)))
+        samples = interleaved_rounds(modes, args.rounds)
 
     try:
         digest = require_same_digest(samples)
@@ -120,6 +116,7 @@ def main(argv=None) -> int:
             "warmup_ms": args.warmup_ms,
         },
         "rounds": args.rounds,
+        "baseline_commit": BASELINE_COMMIT,
         "reference_cpu_s": round(ref_cpu, 3),
         "sched_reference_cpu_s": round(sched_ref_cpu, 3),
         "fast_cpu_s": round(fast_cpu, 3),
@@ -133,16 +130,15 @@ def main(argv=None) -> int:
         "sched_layer_speedup_cpu": round(sched_layer_cpu, 3),
         "digest": digest,
         "baseline_note": (
-            "reference = both in-tree slow paths (REPRO_MEM_SLOWPATH + "
-            "REPRO_SCHED_SLOWPATH): the parity-tested pre-fast-path "
-            "algorithms over current data structures. The combined speedup "
-            "is dominated by the memory layer; the scheduler layer's "
-            "marginal contribution over fast memory is recorded as "
-            "sched_layer_speedup_cpu (~1.0-1.2x at this single-server "
-            "config, larger on queue-heavy cluster configs). Issue target "
-            "was 2.5x combined; the honest measured ceiling on this config "
-            "is ~2.0-2.25x and no reference de-optimization was applied to "
-            "close the gap."
+            "reference = baseline_commit run with REPRO_MEM_SLOWPATH=1 and "
+            "REPRO_SCHED_SLOWPATH=1 (that commit's pre-fast-path algorithms "
+            "over its data structures); sched_reference = baseline_commit "
+            "with REPRO_SCHED_SLOWPATH=1 only; fast = the current tree. Each "
+            "run is its own benchmarks/_driver.py process timing the run "
+            "alone. The combined speedup is dominated by the memory layer; "
+            "sched_layer_speedup_cpu is the scheduler layer's marginal "
+            "contribution over a batched memory walk (the baseline's, a few "
+            "percent faster than the current one)."
         ),
     }
     write_record(record, "BENCH_sched_hotpath.json", args.out)

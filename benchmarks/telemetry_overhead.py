@@ -33,7 +33,7 @@ import repro
 from repro.config import SimulationConfig, TelemetryConfig
 from repro.core import hardharvest_block, run_server
 
-from _timing import best_wall, interleaved_rounds, write_record
+from _timing import best_wall, interleaved_rounds, timed, write_record
 
 
 def main(argv=None) -> int:
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     }
     samples = interleaved_rounds(
         [
-            (name, lambda cfg=cfg: run_server(system, cfg))
+            (name, timed(lambda cfg=cfg: run_server(system, cfg)))
             for name, cfg in configs.items()
         ],
         args.repeats,

@@ -28,8 +28,8 @@ Commands
                critical-path report (:mod:`repro.telemetry`).
 ``profile``  — run one server simulation under :mod:`cProfile` and print
                the hottest functions (the entry point for hot-path work;
-               pair with ``REPRO_MEM_SLOWPATH`` / ``REPRO_SCHED_SLOWPATH``
-               to profile the reference implementations).
+               to profile an older implementation, run it from a
+               ``git archive`` of that commit).
 
 Examples::
 

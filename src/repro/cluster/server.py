@@ -53,10 +53,9 @@ from repro.harvest.software import SmartHarvestAgent
 from repro.hw.context import SavedContext
 from repro.hw.controller import HardHarvestController
 from repro.mem.address import AddressSpace
-from repro.mem.cache import slowpath_enabled
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import CoreMemory, build_llc
-from repro.sim.engine import Simulator, sched_slowpath_enabled
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry, derive_server_seed
 from repro.sim.stats import (
     BreakdownRecorder,
@@ -243,13 +242,11 @@ class ServerSimulation:
         # Hot-path hoists. Named streams are cached by the registry (same
         # generator object every call, seeded by name alone), so binding
         # them once removes a registry lookup per segment without touching
-        # the draw sequence. The fast/slow memory path is chosen once here.
+        # the draw sequence.
         # ------------------------------------------------------------------
         self._mem_rng = self.rng.stream("mem")
         self._batchmem_rng = self.rng.stream("batchmem")
         self._costs_rng = self.rng.stream("costs")
-        self._mem_fastpath = not slowpath_enabled()
-        self._sched_fastpath = not sched_slowpath_enabled()
         #: Flat counter store: hot handlers bump this dict directly instead
         #: of paying ``Counter.incr``'s method call + validation per event.
         #: Same underlying defaultdict, so cold-path ``incr`` calls and
@@ -258,8 +255,7 @@ class ServerSimulation:
         #: Cores currently executing a batch unit (state BUSY with a live
         #: ``batch_event``), maintained at the four transition sites so the
         #: sync-overhead model reads a counter instead of scanning all
-        #: cores.  Equals the reference scan at every read — the slow path
-        #: still scans, and the parity pins prove both agree.
+        #: cores.
         self._active_batch_cores = 0
         #: Per-VM scheduling descriptors: the queue methods the hot
         #: handlers call, bound once (queue objects never change after
@@ -276,13 +272,6 @@ class ServerSimulation:
             )
             for vm in self.primary_vms
         }
-        #: Ready-work arbitration: descriptor-driven fast path or the kept
-        #: reference (sublist-materializing) implementation, chosen once.
-        self._work_available = (
-            self._work_available_fast
-            if self._sched_fastpath
-            else self._work_available_ref
-        )
 
         # ------------------------------------------------------------------
         # Pre-draw workload: identical across systems given the same seed.
@@ -507,25 +496,17 @@ class ServerSimulation:
             # on the loaned core's queue and need a buffer core or reclaim.
             resteer = self.system.software_costs.resteer_ns
             cores = vm.cores
-            if self._sched_fastpath:
-                # The filtered list is only built when some core actually
-                # sits past its re-steer window (loans are uncommon).
-                eligible = cores
-                for c in cores:
-                    if c.on_loan and now - c.loan_start_ns > resteer:
-                        eligible = [
-                            c2
-                            for c2 in cores
-                            if not (c2.on_loan and now - c2.loan_start_ns > resteer)
-                        ] or cores
-                        break
-            else:
-                # Reference: always materialize the eligible list.
-                eligible = [
-                    c
-                    for c in cores
-                    if not (c.on_loan and now - c.loan_start_ns > resteer)
-                ] or cores
+            # The filtered list is only built when some core actually sits
+            # past its re-steer window (loans are uncommon).
+            eligible = cores
+            for c in cores:
+                if c.on_loan and now - c.loan_start_ns > resteer:
+                    eligible = [
+                        c2
+                        for c2 in cores
+                        if not (c2.on_loan and now - c2.loan_start_ns > resteer)
+                    ] or cores
+                    break
             req.steered_core_id = eligible[vm.rr_cursor % len(eligible)].core_id
             vm.rr_cursor += 1
         in_hw = vm.queue.enqueue(req)
@@ -543,15 +524,13 @@ class ServerSimulation:
             )
         self._work_available(vm)
 
-    def _work_available_fast(self, vm: PrimaryVm) -> None:
-        """Fast-path arbitration off the per-VM descriptor.
+    def _work_available(self, vm: PrimaryVm) -> None:
+        """Start a dispatch or a reclaim if ``vm`` has ready work.
 
         Runs on every enqueue and every I/O completion, so it works off
         the per-VM descriptor (bound queue methods, core list) and scans
         the core list once per decision instead of materializing
-        idle/loaned/available sublists.  Decision-identical to
-        :meth:`_work_available_ref` (first idle in core order ==
-        ``idle_cores()[0]``, etc.); the parity pins prove it.
+        idle/loaned/available sublists.
         """
         _queue, has_ready, _deq, ready_count, ready_steered, cores = (
             self._vm_desc[vm.vm_id]
@@ -559,8 +538,8 @@ class ServerSimulation:
         if not has_ready():
             return
         if not self.per_core_steering:
-            # Shared per-VM subqueue: any idle bound core serves the head
-            # (first idle in core order == old ``idle_cores()[0]``).
+            # Shared per-VM subqueue: the first idle bound core in core
+            # order serves the head.
             for c in cores:
                 if c.state == IDLE and not c.on_loan:
                     self._start_dispatch(c, vm)
@@ -600,47 +579,6 @@ class ServerSimulation:
                 if c.on_loan and c.state != SWITCHING:
                     self._start_reclaim(vm, c)
                     break
-
-    def _work_available_ref(self, vm: PrimaryVm) -> None:
-        """The kept reference arbitration (``REPRO_SCHED_SLOWPATH=1``):
-        materializes the idle/loaned/available sublists per decision, as
-        the pre-fast-path scheduler did."""
-        if not vm.queue.has_ready():
-            return
-        if not self.per_core_steering:
-            # Shared per-VM subqueue: any idle bound core serves the head.
-            idle = vm.idle_cores()
-            if idle:
-                self._start_dispatch(idle[0], vm)
-                return
-            loaned = [c for c in vm.loaned_cores() if c.state != SWITCHING]
-            if loaned:
-                self._start_reclaim(vm, loaned[0])
-            return
-
-        # Per-core steering: each ready request waits for *its* core.
-        stuck_on_loan = []
-        for core_id in vm.queue.ready_steered_cores():
-            core = self.cores[core_id]
-            if core.state == IDLE and not core.on_loan and core.guest_vm_id is None:
-                self._start_dispatch(core, vm)
-            elif core.on_loan:
-                stuck_on_loan.append(core)
-        if stuck_on_loan:
-            if not self._borrow_buffer_core(vm):
-                for core in stuck_on_loan:
-                    if core.state != SWITCHING:
-                        self._start_reclaim(vm, core)
-                        break
-        # Queue pressure: more ready work than attached cores while some
-        # cores are on loan — expand capacity by reclaiming.
-        available = [
-            c for c in vm.cores if not c.on_loan and c.guest_vm_id is None
-        ]
-        if vm.queue.ready_count() > len(available):
-            loaned = [c for c in vm.loaned_cores() if c.state != SWITCHING]
-            if loaned:
-                self._start_reclaim(vm, loaned[0])
 
     def _borrow_buffer_core(self, vm: PrimaryVm) -> bool:
         """Attach an idle buffer core from another Primary VM to ``vm``.
@@ -750,14 +688,7 @@ class ServerSimulation:
         batch = vm.memory.sample(self._mem_rng, n, req.private_region)
         l2 = core.memory.l2.array
         h0, a0 = l2.hits, l2.accesses
-        now = self.sim.now
-        if self._mem_fastpath:
-            total_ns = core.memory.access_batch(batch, vm.llc, True, now)
-        else:
-            total_ns = 0
-            access = core.memory.access
-            for addr, shared, instr, write in batch:
-                total_ns += access(addr, shared, instr, vm.llc, True, now, write)
+        total_ns = core.memory.access_batch(batch, vm.llc, True, self.sim.now)
         self.l2_primary_hits += l2.hits - h0
         self.l2_primary_accesses += l2.accesses - a0
         l_avg = total_ns / max(1, n)
@@ -1023,17 +954,10 @@ class ServerSimulation:
         batch = hvm.memory.sample(self._batchmem_rng, n)
         l2 = core.memory.l2.array
         h0, a0 = l2.hits, l2.accesses
-        now = self.sim.now
         is_primary_view = not core.on_loan  # own cores see full structures
-        if self._mem_fastpath:
-            total_ns = core.memory.access_batch(batch, hvm.llc, is_primary_view, now)
-        else:
-            total_ns = 0
-            access = core.memory.access
-            for addr, shared, instr, write in batch:
-                total_ns += access(
-                    addr, shared, instr, hvm.llc, is_primary_view, now, write
-                )
+        total_ns = core.memory.access_batch(
+            batch, hvm.llc, is_primary_view, self.sim.now
+        )
         self.l2_batch_hits += l2.hits - h0
         self.l2_batch_accesses += l2.accesses - a0
         l_avg = total_ns / n
@@ -1041,15 +965,7 @@ class ServerSimulation:
         refs = job.mem_refs_per_us * job.unit_us
         base = cpu_ns + int(l_avg * refs)
         # Sublinear scaling: coordination costs grow with active batch cores.
-        if self._sched_fastpath:
-            active = self._active_batch_cores
-        else:
-            # Reference: scan every core (the counter above mirrors this).
-            active = 0
-            for c in self.cores:
-                if c.state == BUSY and c.batch_event is not None:
-                    active += 1
-        return int(base * (1.0 + job.sync_overhead * active))
+        return int(base * (1.0 + job.sync_overhead * self._active_batch_cores))
 
     def _start_batch_unit(self, core: Core) -> None:
         if self.injector is not None:

@@ -25,7 +25,6 @@ from repro.hw.request_queue import (
     Subqueue,
 )
 from repro.hw.sched_kernels import NUMPY_SCAN_MIN, ready_positions
-from repro.sim.engine import sched_slowpath_enabled
 from repro.workloads.batch import BatchJobProfile
 from repro.workloads.memory_profile import BatchMemory, ServiceMemory
 from repro.workloads.microservices import ServiceProfile
@@ -50,13 +49,6 @@ class SoftwareQueue:
     def __init__(self, vm_id: int):
         self._sq = Subqueue(vm_id, entries_per_chunk=1 << 30)
         self._sq.grant_chunk(0)
-        #: Fast/slow scan choice, made once like the subqueue's own
-        #: (``REPRO_SCHED_SLOWPATH=1`` keeps the reference object walks).
-        self._fast = not sched_slowpath_enabled()
-
-    @staticmethod
-    def _steering(request: object) -> Optional[int]:
-        return getattr(request, "steered_core_id", None)
 
     def enqueue(self, request: object) -> bool:
         return self._sq.enqueue(request)
@@ -93,32 +85,19 @@ class SoftwareQueue:
         vCPU just because that vCPU is temporarily descheduled).
         """
         sq = self._sq
-        if self._fast:
-            if not sq._ready_count:
-                return None
-            entries = sq.entries
-            for i in self._ready_indices():
-                entry = entries[i]
-                steer = getattr(entry.request, "steered_core_id", None)
-                if exclude_steered_to and steer in exclude_steered_to:
-                    continue
-                if core_id is None or steer is None or steer == core_id:
-                    entry.status = RequestStatus.RUNNING
-                    sq._codes[i] = CODE_RUNNING
-                    sq._ready_count -= 1
-                    return entry.request
+        if not sq._ready_count:
             return None
-        # Reference: linear walk over the entry objects.
-        for i, entry in enumerate(sq.entries):
-            if entry.status is RequestStatus.READY:
-                steer = self._steering(entry.request)
-                if exclude_steered_to and steer in exclude_steered_to:
-                    continue
-                if core_id is None or steer is None or steer == core_id:
-                    entry.status = RequestStatus.RUNNING
-                    sq._codes[i] = CODE_RUNNING
-                    sq._ready_count -= 1
-                    return entry.request
+        entries = sq.entries
+        for i in self._ready_indices():
+            entry = entries[i]
+            steer = getattr(entry.request, "steered_core_id", None)
+            if exclude_steered_to and steer in exclude_steered_to:
+                continue
+            if core_id is None or steer is None or steer == core_id:
+                entry.status = RequestStatus.RUNNING
+                sq._codes[i] = CODE_RUNNING
+                sq._ready_count -= 1
+                return entry.request
         return None
 
     def has_ready(
@@ -127,47 +106,30 @@ class SoftwareQueue:
         exclude_steered_to: Optional[set] = None,
     ) -> bool:
         sq = self._sq
-        if self._fast:
-            if not sq._ready_count:
-                return False
-            if core_id is None and not exclude_steered_to:
-                return True
-            entries = sq.entries
-            for i in self._ready_indices():
-                steer = getattr(entries[i].request, "steered_core_id", None)
-                if exclude_steered_to and steer in exclude_steered_to:
-                    continue
-                if core_id is None or steer is None or steer == core_id:
-                    return True
+        if not sq._ready_count:
             return False
-        for entry in sq.entries:
-            if entry.status is RequestStatus.READY:
-                steer = self._steering(entry.request)
-                if exclude_steered_to and steer in exclude_steered_to:
-                    continue
-                if core_id is None or steer is None or steer == core_id:
-                    return True
+        if core_id is None and not exclude_steered_to:
+            return True
+        entries = sq.entries
+        for i in self._ready_indices():
+            steer = getattr(entries[i].request, "steered_core_id", None)
+            if exclude_steered_to and steer in exclude_steered_to:
+                continue
+            if core_id is None or steer is None or steer == core_id:
+                return True
         return False
 
     def ready_steered_cores(self) -> List[int]:
         """Distinct steering targets of READY requests, FIFO order."""
         sq = self._sq
-        if self._fast:
-            if not sq._ready_count:
-                return []
-            entries = sq.entries
-            seen: List[int] = []
-            for i in self._ready_indices():
-                steer = getattr(entries[i].request, "steered_core_id", None)
-                if steer is not None and steer not in seen:
-                    seen.append(steer)
-            return seen
-        seen = []
-        for entry in sq.entries:
-            if entry.status is RequestStatus.READY:
-                steer = self._steering(entry.request)
-                if steer is not None and steer not in seen:
-                    seen.append(steer)
+        if not sq._ready_count:
+            return []
+        entries = sq.entries
+        seen: List[int] = []
+        for i in self._ready_indices():
+            steer = getattr(entries[i].request, "steered_core_id", None)
+            if steer is not None and steer not in seen:
+                seen.append(steer)
         return seen
 
     def ready_count(self) -> int:
@@ -271,9 +233,6 @@ class PrimaryVm:
     @property
     def name(self) -> str:
         return self.profile.name
-
-    def idle_cores(self) -> List[Core]:
-        return [c for c in self.cores if c.state == "idle" and not c.on_loan]
 
     def loaned_cores(self) -> List[Core]:
         return [c for c in self.cores if c.on_loan]

@@ -17,8 +17,6 @@ from collections import deque
 from enum import Enum
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.sim.engine import sched_slowpath_enabled
-
 
 class RequestStatus(Enum):
     """The 2-bit status of an RQ entry (Section 6.8's status bits)."""
@@ -56,11 +54,9 @@ class Subqueue:
     mutation keeps in sync (the structural counterpart of the cache
     model's tag index): ``_codes``, a bytearray of per-entry status codes
     positionally aligned with ``entries``, and ``_ready_count``, the
-    number of READY entries.  The fast path (default) answers
-    ``has_ready``/``ready_count`` from the counter and finds the oldest
-    READY entry with a C-speed byte search; ``REPRO_SCHED_SLOWPATH=1``
-    keeps the reference linear scans over the entry objects.  Both paths
-    run over the same structures and return identical results.
+    number of READY entries.  ``has_ready``/``ready_count`` answer from
+    the counter, and the oldest READY entry is found with a C-speed byte
+    search instead of a walk over the entry objects.
     """
 
     def __init__(self, vm_id: int, entries_per_chunk: int):
@@ -72,7 +68,6 @@ class Subqueue:
         self.overflow_highwater = 0
         self._codes = bytearray()
         self._ready_count = 0
-        self._fast = not sched_slowpath_enabled()
 
     @property
     def capacity(self) -> int:
@@ -103,36 +98,21 @@ class Subqueue:
 
     def dequeue_ready(self) -> Optional[object]:
         """Oldest READY entry, marked RUNNING; None if there is none."""
-        if self._fast:
-            if not self._ready_count:
-                return None
-            i = self._codes.find(CODE_READY)
-            entry = self.entries[i]
-        else:
-            # Reference: linear scan over the entry objects.
-            i = -1
-            for j, entry in enumerate(self.entries):
-                if entry.status is RequestStatus.READY:
-                    i = j
-                    break
-            if i < 0:
-                return None
-            entry = self.entries[i]
+        if not self._ready_count:
+            return None
+        i = self._codes.find(CODE_READY)
+        entry = self.entries[i]
         entry.status = RequestStatus.RUNNING
         self._codes[i] = CODE_RUNNING
         self._ready_count -= 1
         return entry.request
 
     def has_ready(self) -> bool:
-        if self._fast:
-            return self._ready_count > 0
-        return any(e.status is RequestStatus.READY for e in self.entries)
+        return self._ready_count > 0
 
     def ready_count(self) -> int:
         """Number of READY entries in hardware."""
-        if self._fast:
-            return self._ready_count
-        return sum(1 for e in self.entries if e.status is RequestStatus.READY)
+        return self._ready_count
 
     def _find(self, request: object) -> Tuple[int, RqEntry]:
         for i, entry in enumerate(self.entries):

@@ -12,15 +12,14 @@ instead of walking Python entry objects:
   those entries.
 
 NumPy is optional: when it is unavailable the helpers fall back to the
-``find`` loop, which is still far faster than the object walk.  The
-selection between this module and the kept pure-Python reference scans is
-``REPRO_SCHED_SLOWPATH`` (see :mod:`repro.sim.engine`), decided at queue
-construction time.
+``find`` loop, which is still far faster than the object walk.
 """
 
 from __future__ import annotations
 
 from typing import List
+
+from repro.hw.request_queue import CODE_READY
 
 try:  # pragma: no cover - exercised implicitly by every fast-path run
     import numpy as _np
@@ -32,11 +31,6 @@ except Exception:  # pragma: no cover - numpy is a hard dep elsewhere
 #: costs more than it saves.
 NUMPY_SCAN_MIN = 64
 
-#: Status byte the kernels search for (mirror of
-#: :data:`repro.hw.request_queue.CODE_READY`; duplicated to avoid a
-#: circular import — pinned by a test).
-READY_BYTE = 0
-
 
 def ready_positions(codes: bytearray) -> List[int]:
     """Positions of every READY entry, oldest first.
@@ -45,24 +39,12 @@ def ready_positions(codes: bytearray) -> List[int]:
     """
     if _np is not None and len(codes) >= NUMPY_SCAN_MIN:
         return _np.flatnonzero(
-            _np.frombuffer(codes, dtype=_np.uint8) == READY_BYTE
+            _np.frombuffer(codes, dtype=_np.uint8) == CODE_READY
         ).tolist()
     out: List[int] = []
     find = codes.find
-    i = find(READY_BYTE)
+    i = find(CODE_READY)
     while i >= 0:
         out.append(i)
-        i = find(READY_BYTE, i + 1)
+        i = find(CODE_READY, i + 1)
     return out
-
-
-def ready_count_batch(codes: bytearray) -> int:
-    """Number of READY entries (vectorized for deep queues).
-
-    The queues maintain this incrementally (``Subqueue._ready_count``);
-    this kernel exists for cross-checks and for consumers holding only a
-    code mirror.
-    """
-    if _np is not None and len(codes) >= NUMPY_SCAN_MIN:
-        return int((_np.frombuffer(codes, dtype=_np.uint8) == READY_BYTE).sum())
-    return codes.count(READY_BYTE)

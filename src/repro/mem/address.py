@@ -43,11 +43,6 @@ class Region:
         page = self.start_page + page_index
         return (self.vm_id << _VM_SHIFT) | (page * PAGE_BYTES) | offset
 
-    def line_addr(self, page_index: int, line_index: int, line_bytes: int = 64) -> int:
-        """Byte address of the ``line_index``-th cache line of a page."""
-        lines_per_page = PAGE_BYTES // line_bytes
-        return self.addr(page_index, (line_index % lines_per_page) * line_bytes)
-
 
 class AddressSpace:
     """Allocates non-overlapping page regions within one VM."""

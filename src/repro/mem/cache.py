@@ -18,26 +18,9 @@ The array supports:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.replacement import CacheSet, ReplacementPolicy
-
-#: Environment switch selecting the pre-fast-path reference implementation
-#: (per-way linear tag scans, un-batched access loops).  Results are
-#: bit-identical either way — the parity suite proves it — so the slow path
-#: exists only as the baseline for ``benchmarks/hotpath_speedup.py`` and as
-#: a live replica of the seed behavior.
-SLOWPATH_ENV = "REPRO_MEM_SLOWPATH"
-
-
-def slowpath_enabled() -> bool:
-    """True when the reference (pre-fast-path) implementation is requested.
-
-    Read at *construction* time of each array/simulation, so flipping the
-    environment variable between runs in one process works.
-    """
-    return os.environ.get(SLOWPATH_ENV, "") not in ("", "0")
 
 
 class SetAssocArray:
@@ -69,7 +52,6 @@ class SetAssocArray:
         # flushes reuse one or two masks, so the log stays that short.
         self._flush_epoch = 0
         self._flush_log: Dict[int, int] = {}
-        self.fast = not slowpath_enabled()
 
     # ------------------------------------------------------------------
     def enable_trace(self, limit: Optional[int] = None) -> None:
@@ -107,10 +89,7 @@ class SetAssocArray:
             self._trace_limit is None or len(trace) < self._trace_limit
         ):
             trace.append((set_index, tag, shared))
-        if self.fast:
-            way = cset.find_fast(tag, allowed)
-        else:
-            way = cset.find(tag, allowed)
+        way = cset.find_fast(tag, allowed)
         if way >= 0:
             self.hits += 1
             if write:
@@ -134,9 +113,7 @@ class SetAssocArray:
             return False
         if cset.seen_flush < self._flush_epoch:
             self._reconcile(cset)
-        if self.fast:
-            return cset.find_fast(tag, allowed) >= 0
-        return cset.find(tag, allowed) >= 0
+        return cset.find_fast(tag, allowed) >= 0
 
     # ------------------------------------------------------------------
     def _reconcile(self, cset: CacheSet) -> None:

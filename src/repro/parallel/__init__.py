@@ -12,12 +12,9 @@ The fan-out/cache substrate behind ``python -m repro sweep``, the
   collection keyed by point.
 * :class:`ResultCache` — content-addressed on-disk cache under
   ``.repro_cache/`` keyed by config hash + package version, with
-  zlib-compressed v2 entries (legacy v1 read transparently), batch
-  ``get_many``/``put_many``, and a bounded in-process LRU layer.
-
-``REPRO_DATAPLANE_SLOWPATH=1`` disables the data-plane fast path
-(split-key hashing, v2 entries, LRU, worker memo, compressed chunk IPC)
-and restores the pre-fast-path reference behavior for benchmarking.
+  zlib-compressed v2 entries (legacy v1 entries are read, never
+  written), batch ``get_many``/``put_many``, and a bounded in-process LRU
+  layer.
 """
 
 from repro.parallel.cache import (

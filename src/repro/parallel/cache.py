@@ -18,17 +18,16 @@ Cache-key contract (also documented in ``docs/api.md``):
 
 Storage formats — both live under ``<root>/<key[:2]>/<key>.json``:
 
-* **v2** (default): a ``repz2\\n`` magic marker followed by a
+* **v2** (written): a ``repz2\\n`` magic marker followed by a
   zlib-compressed body laid out as ``version\\npayload_json\\nresult_json``.
   Compression shrinks the multi-KB config+result JSON ~5-10x on disk, and
   the line layout means :meth:`ResultCache.get` checks the version and
   parses *only* the result line — the payload tree (usually the larger
   half of the entry) is never re-parsed on a warm hit.
-* **v1** (legacy): plain JSON text ``{"version", "payload", "result"}``.
-  v2 readers handle v1 entries transparently, so an existing cache
-  directory keeps hitting after an upgrade; ``store_format="v1"`` (or
-  ``REPRO_DATAPLANE_SLOWPATH=1``) keeps writing the legacy format for
-  benchmarking and migration tests.
+* **v1** (legacy, read only): plain JSON text
+  ``{"version", "payload", "result"}``.  Readers handle v1 entries
+  transparently, so a directory written by an older release keeps
+  hitting after an upgrade.
 
 On top of the disk store sits a bounded in-process LRU
 (``memory_entries``; 0 disables) so repeated gets of the same key —
@@ -49,7 +48,7 @@ import tempfile
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import repro
 
@@ -135,16 +134,22 @@ def _v2_decompress(data: bytes) -> bytes:
     return out
 
 
-def _slowpath() -> bool:
-    """True when the data-plane fast path is disabled via the environment.
+def _decode_v1(blob: bytes) -> Dict[str, Any]:
+    """A legacy v1 entry: a JSON object with a string ``version`` and an
+    object ``result``.
 
-    ``REPRO_DATAPLANE_SLOWPATH=1`` mirrors ``REPRO_MEM_SLOWPATH`` /
-    ``REPRO_SCHED_SLOWPATH``: it keeps the pre-fast-path reference
-    behavior in-tree (legacy full-payload keying in the runner, v1 cache
-    entries, no memory layer) so benchmarks can measure the fast path
-    against an honest baseline and CI can pin format-parity.
+    Well-formed JSON of any other shape (``null``, a number, a string, a
+    non-object result) raises :class:`ValueError`, so every reader treats
+    it like any other corrupt entry.
     """
-    return os.environ.get("REPRO_DATAPLANE_SLOWPATH") == "1"
+    entry = json.loads(blob.decode("utf-8"))
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("version"), str)
+        and isinstance(entry.get("result"), dict)
+    ):
+        raise ValueError("malformed v1 cache entry")
+    return entry
 
 
 def canonical_json(obj: Any) -> str:
@@ -188,24 +193,11 @@ class ResultCache:
     root: str = DEFAULT_CACHE_DIR
     version: str = field(default_factory=lambda: repro.__version__)
     stats: CacheStats = field(default_factory=CacheStats)
-    #: On-disk entry format for *writes*: "v2" (compressed, default) or
-    #: "v1" (legacy plain JSON).  Reads understand both regardless.
-    store_format: str = field(
-        default_factory=lambda: "v1" if _slowpath() else "v2"
-    )
     #: Bound of the in-process LRU layer (entries); 0 disables it.
-    memory_entries: int = field(
-        default_factory=lambda: 0 if _slowpath() else 512
-    )
+    memory_entries: int = 512
     _memory: "OrderedDict[str, Dict[str, Any]]" = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        if self.store_format not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown cache store_format {self.store_format!r}"
-            )
 
     def key(self, payload: Dict[str, Any]) -> str:
         """The content address of a sweep-point payload under this version."""
@@ -229,18 +221,11 @@ class ResultCache:
 
     def _encode(self, payload: Union[Dict[str, Any], str],
                 result: Dict[str, Any]) -> bytes:
-        if self.store_format == "v1":
-            if isinstance(payload, str):
-                payload = json.loads(payload)
-            entry = {
-                "version": self.version, "payload": payload, "result": result,
-            }
-            return json.dumps(entry).encode("utf-8")
         payload_json = (
             payload if isinstance(payload, str) else canonical_json(payload)
         )
         # The result line preserves dict insertion order (no sort_keys),
-        # exactly as v1's json.dump did: downstream float reductions
+        # exactly as v1's json.dumps did: downstream float reductions
         # (e.g. the cluster merge averaging p99 maps) iterate result
         # dicts, and reordering keys would perturb summation order — a
         # last-ulp digest change between warm and cold runs.
@@ -251,7 +236,7 @@ class ResultCache:
         return V2_MAGIC + _v2_compress(body.encode("utf-8"))
 
     @staticmethod
-    def _decode_result(blob: bytes) -> Tuple[Optional[str], Dict[str, Any]]:
+    def _decode_result(blob: bytes) -> Tuple[str, Dict[str, Any]]:
         """(version, result) from an entry blob; payload is not parsed."""
         if blob.startswith(V2_MAGIC):
             body = _v2_decompress(blob[len(V2_MAGIC):]).decode("utf-8")
@@ -260,13 +245,11 @@ class ResultCache:
             if not sep or not sep2:
                 raise ValueError("truncated v2 cache entry")
             return version, json.loads(result_json)
-        entry = json.loads(blob.decode("utf-8"))
-        if "result" not in entry:
-            raise ValueError("incomplete cache entry")
-        return entry.get("version"), entry["result"]
+        entry = _decode_v1(blob)
+        return entry["version"], entry["result"]
 
     @staticmethod
-    def _decode_version(blob: bytes) -> Optional[str]:
+    def _decode_version(blob: bytes) -> str:
         """Just the recorded version — cheapest possible decode."""
         if blob.startswith(V2_MAGIC):
             body = _v2_decompress(blob[len(V2_MAGIC):])
@@ -274,10 +257,7 @@ class ResultCache:
             if not sep:
                 raise ValueError("truncated v2 cache entry")
             return version.decode("utf-8")
-        entry = json.loads(blob.decode("utf-8"))
-        if "result" not in entry:
-            raise ValueError("incomplete cache entry")
-        return entry.get("version")
+        return _decode_v1(blob)["version"]
 
     def read_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """The full stored entry (version/payload/result), either format.
@@ -299,7 +279,7 @@ class ResultCache:
                 "payload": json.loads(payload_json),
                 "result": json.loads(result_json),
             }
-        return json.loads(blob.decode("utf-8"))
+        return _decode_v1(blob)
 
     # -- memory layer -------------------------------------------------
 
@@ -483,8 +463,6 @@ class ResultCache:
                 fmt = "<corrupt>"
             try:
                 version = self._decode_version(blob)
-                if version is None:
-                    version = "<corrupt>"
             except (ValueError, OSError, zlib.error):
                 version = "<corrupt>"
             stats["entries"] += 1

@@ -47,12 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.export import server_result_from_dict, server_result_to_dict
 from repro.core.metrics import ServerResult
-from repro.parallel.cache import (
-    CacheStats,
-    ResultCache,
-    _slowpath,
-    canonical_json,
-)
+from repro.parallel.cache import CacheStats, ResultCache, canonical_json
 from repro.parallel.sweep import SweepPoint, SweepSpec
 from repro.workloads.batch import BatchJobProfile
 
@@ -118,8 +113,8 @@ def _memoized_part(kind: str, part: Dict, build: Callable[[Dict], Any]) -> Any:
     return obj
 
 
-def _decode_chunk_result(result: Union[Dict, bytes, bytearray]) -> Dict:
-    """Inverse of the worker-side result compression (no-op for dicts).
+def _decode_chunk_result(result: bytes) -> Dict:
+    """Inverse of the worker-side result compression.
 
     Pickle (not JSON) under the zlib layer: result dicts may carry
     int-keyed counters, and a JSON round-trip would coerce those keys to
@@ -128,9 +123,7 @@ def _decode_chunk_result(result: Union[Dict, bytes, bytearray]) -> Dict:
     paths.  The bytes come from our own pool workers, the same trust
     domain whose task pickles we already execute.
     """
-    if isinstance(result, (bytes, bytearray)):
-        return pickle.loads(zlib.decompress(result))
-    return result
+    return pickle.loads(zlib.decompress(result))
 
 
 @dataclass(frozen=True)
@@ -178,32 +171,21 @@ def execute_payload(payload_json: str) -> Dict:
     from repro.core.serialize import from_dict
 
     payload = json.loads(payload_json)
-    if _slowpath():
-        system = from_dict(payload["system"])
-        sim = from_dict(payload["simulation"])
-        job = (
-            BatchJobProfile(**payload["batch_job"])
-            if payload.get("batch_job") is not None
-            else None
-        )
-    else:
-        system = _memoized_part("system", payload["system"], from_dict)
-        sim = _memoized_part("simulation", payload["simulation"], from_dict)
-        job_part = payload.get("batch_job")
-        job = (
-            _memoized_part(
-                "batch_job", job_part, lambda p: BatchJobProfile(**p)
-            )
-            if job_part is not None
-            else None
-        )
+    system = _memoized_part("system", payload["system"], from_dict)
+    sim = _memoized_part("simulation", payload["simulation"], from_dict)
+    job_part = payload.get("batch_job")
+    job = (
+        _memoized_part("batch_job", job_part, lambda p: BatchJobProfile(**p))
+        if job_part is not None
+        else None
+    )
     result = run_server(system, sim, job, server_index=payload["server_index"])
     return server_result_to_dict(result)
 
 
 def execute_payload_chunk(
     tasks: Sequence[Tuple[str, str]],
-) -> List[Tuple[str, Optional[Union[Dict, bytes]], Optional[str]]]:
+) -> List[Tuple[str, Optional[bytes], Optional[str]]]:
     """Worker entry point: run a contiguous chunk of sweep points.
 
     Submitting one pool task per *chunk* rather than per point amortizes
@@ -216,22 +198,20 @@ def execute_payload_chunk(
     time so test monkeypatching reaches the chunked path too.
 
     Successful results cross the process boundary as zlib-compressed
-    canonical JSON bytes (decoded by :func:`_decode_chunk_result` on the
-    parent side): result dicts are multi-KB of repetitive text, so
-    compressing at level 1 shrinks the IPC pickle several-fold for
-    negligible CPU.  ``REPRO_DATAPLANE_SLOWPATH=1`` ships plain dicts,
-    preserving the pre-fast-path wire format for benchmarking.
+    pickles (decoded by :func:`_decode_chunk_result` on the parent side):
+    result dicts are multi-KB of repetitive text, so compressing at level
+    1 shrinks the IPC pickle several-fold for negligible CPU.
     """
-    compress = not _slowpath()
-    out: List[Tuple[str, Optional[Union[Dict, bytes]], Optional[str]]] = []
+    out: List[Tuple[str, Optional[bytes], Optional[str]]] = []
     for label, payload_json in tasks:
         try:
-            result = execute_payload(payload_json)
-            if compress:
-                result = zlib.compress(
-                    pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-                    _RESULT_COMPRESSION_LEVEL,
-                )
+            result = zlib.compress(
+                pickle.dumps(
+                    execute_payload(payload_json),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
+                _RESULT_COMPRESSION_LEVEL,
+            )
             out.append((label, result, None))
         except Exception as exc:  # noqa: BLE001 - uniform retry handling
             out.append((label, None, f"{type(exc).__name__}: {exc}"))
@@ -397,26 +377,17 @@ def run_sweep(
         raise ValueError(f"duplicate sweep point labels: {dupes}")
 
     started = time.monotonic()
-    # Split-key fast path: payload_json() assembles each point's
-    # canonical JSON from identity-memoized fragments of the shared
-    # config instances (byte-identical output, so identical keys), and
-    # key_json() hashes the string without re-materializing the dict.
-    # REPRO_DATAPLANE_SLOWPATH=1 keeps the legacy full re-serialization
-    # in-tree as the benchmark baseline.
-    fast = not _slowpath()
-    if fast:
-        payloads = {p.label: p.payload_json() for p in points}
-    else:
-        payloads = {p.label: canonical_json(p.payload()) for p in points}
+    # Split keys: payload_json() assembles each point's canonical JSON
+    # from identity-memoized fragments of the shared config instances
+    # (byte-identical to canonical_json(payload()), so identical keys),
+    # and key_json() hashes the string without re-materializing the dict.
+    payloads = {p.label: p.payload_json() for p in points}
     raw: Dict[str, Dict] = {}
     keys: Dict[str, str] = {}
 
     if cache is not None:
         for point in points:
-            if fast:
-                keys[point.label] = cache.key_json(payloads[point.label])
-            else:
-                keys[point.label] = cache.key(json.loads(payloads[point.label]))
+            keys[point.label] = cache.key_json(payloads[point.label])
         hits = cache.get_many([keys[p.label] for p in points])
         for point in points:
             hit = hits.get(keys[point.label])
@@ -485,18 +456,17 @@ def run_sweep(
                 "recompute — a worker is consuming hidden non-deterministic "
                 "state (global RNG, wall clock, ...)"
             )
-    to_store: List[Tuple[str, Union[Dict, str], Dict]] = []
+    to_store: List[Tuple[str, str, Dict]] = []
     for label, _ in pending:
         if label in outcome.quarantined:
             continue
         raw[label] = done[label]
         outcome.computed += 1
         if cache is not None:
-            # Fast path hands the canonical string straight to the
-            # store; the payload tree is never re-parsed just to be
-            # re-serialized into the entry.
-            payload = payloads[label] if fast else json.loads(payloads[label])
-            to_store.append((keys[label], payload, done[label]))
+            # The canonical string goes straight to the store; the
+            # payload tree is never re-parsed just to be re-serialized
+            # into the entry.
+            to_store.append((keys[label], payloads[label], done[label]))
     if cache is not None and to_store:
         cache.put_many(to_store)
 

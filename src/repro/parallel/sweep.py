@@ -95,13 +95,13 @@ def _class_template(cls: type) -> Tuple[Tuple[str, Optional[str]], ...]:
 def _json_fragment(obj: Any) -> str:
     """``canonical_json(to_dict(obj))``, memoized per frozen dataclass.
 
-    Byte-identical to the slow path: keys sorted, compact separators,
+    Byte-identical to ``canonical_json``: keys sorted, compact separators,
     ``__type__`` markers on dataclasses, ``__enum__`` wrappers on enums.
     """
     cls = obj.__class__
     if cls is str or cls is int or cls is float or obj is None or cls is bool:
         # Compact separators only matter for containers, so plain dumps
-        # emits the same bytes the canonical slow path would.
+        # emits the same bytes canonical_json would.
         if cls is float and obj == 0.0:
             # -0.0 == 0.0, so they'd share a memo slot despite distinct
             # encodings ("-0.0" vs "0.0"); dump zeros directly.
@@ -150,7 +150,7 @@ def _json_fragment(obj: Any) -> str:
             for k, v in sorted(obj.items())
         ) + "}"
     # Scalars (None/bool/int/float/str); anything else raises the same
-    # TypeError the slow path would.
+    # TypeError canonical_json would.
     return json.dumps(
         to_dict(obj), sort_keys=True, separators=(",", ":"), allow_nan=True
     )

@@ -18,27 +18,7 @@ keeps the hot loop cheap enough for multi-second simulated horizons.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional, Tuple
-
-#: Environment switch selecting the pre-fast-path reference scheduler:
-#: the one-event-at-a-time engine loop and the scan-based queue
-#: implementations in ``hw/request_queue.py`` / ``cluster/vm.py``.
-#: Results are bit-identical either way — the parity suite proves it — so
-#: the slow path exists only as the baseline for
-#: ``benchmarks/sched_speedup.py`` and as a live replica of the pre-PR
-#: behavior.  Mirrors ``REPRO_MEM_SLOWPATH`` (``mem/cache.py``).
-SCHED_SLOWPATH_ENV = "REPRO_SCHED_SLOWPATH"
-
-
-def sched_slowpath_enabled() -> bool:
-    """True when the reference (pre-fast-path) scheduler is requested.
-
-    Read at *construction* time of each simulator/queue, so flipping the
-    environment variable between runs in one process works.
-    """
-    return os.environ.get(SCHED_SLOWPATH_ENV, "") not in ("", "0")
-
 
 #: Heap-compaction trigger: compact only past this many dead entries
 #: (amortizes the O(n) sweep) and only when they are the majority of the
@@ -111,10 +91,6 @@ class Simulator:
         #: Instance-level compaction trigger (tests lower it to exercise
         #: compaction cheaply; see module constant for the rationale).
         self.compact_min_cancelled = COMPACT_MIN_CANCELLED
-        #: Fast/slow run-loop choice, made once at construction like the
-        #: memory hierarchy's ``slowpath_enabled`` — the batched drain and
-        #: the reference loop fire the same events in the same order.
-        self._batched_run = not sched_slowpath_enabled()
         # Observation-only probe callbacks (telemetry). They live in a side
         # heap with their own sequence counter, so scheduling a probe never
         # touches ``_seq`` — the tie-breaking order, heap contents, and
@@ -201,73 +177,20 @@ class Simulator:
         ``max_events`` events, or when an event calls :meth:`stop`.
         Returns the number of events fired.
 
-        Two implementations, selected at construction
-        (``REPRO_SCHED_SLOWPATH=1`` keeps the reference): the fast path
-        drains every event sharing a timestamp in one inner loop — the
-        clock, the probe side-heap, and the ``until`` bound are consulted
-        once per *timestamp batch* instead of once per event.  Pop order is
-        the heap's ``(time, seq)`` order either way, so firing order (and
-        therefore every simulation result) is bit-identical.
-        """
-        if self._batched_run:
-            return self._run_batched(until, max_events)
-        return self._run_reference(until, max_events)
-
-    def _run_reference(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
-        """The kept pre-fast-path loop: one event per iteration."""
-        if self._running:
-            raise RuntimeError("simulator is already running (re-entrant run())")
-        self._running = True
-        self._stop_requested = False
-        fired = 0
-        # Hoisted locals: this loop runs once per event over multi-second
-        # horizons, so each attribute lookup shaved here is millions saved.
-        heap = self._heap
-        heappop = heapq.heappop
-        try:
-            while heap and not self._stop_requested:
-                time, _seq, handle = heap[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if handle.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                if self._probes:
-                    self._fire_probes_until(time)
-                self.now = time
-                handle.fire()
-                fired += 1
-                self._events_fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
-            if until is not None and self.now < until and not self._stop_requested:
-                if self._probes:
-                    self._fire_probes_until(until)
-                self.now = until
-        finally:
-            self._running = False
-        return fired
-
-    def _run_batched(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Batched drain: apply every event stamped ``t`` before re-reading
-        the clock or the side-heap.
-
-        Invariants that keep this bit-identical to the reference loop:
+        Batched drain: every event stamped ``t`` runs before the clock,
+        the probe side-heap or the ``until`` bound is consulted again, so
+        those checks cost once per *timestamp batch* instead of once per
+        event.  Pop order is the heap's ``(time, seq)`` order, exactly as
+        a one-event-at-a-time loop would fire them:
 
         * cancelled *head* entries are skipped without advancing ``now``
           (a heap tail of dead timers must not move the clock);
         * probes fire once per timestamp batch, before its first live
-          event — between batches they observe exactly the state the
-          reference loop would have shown them, because only live events
-          mutate state;
+          event — they observe the state the previous batch left, because
+          only live events mutate state;
         * an event scheduled at the current timestamp from within the
           batch (``delay=0``) carries a higher ``seq`` and is picked up by
-          the same drain, exactly where the reference loop would pop it;
+          the same drain;
         * ``stop()`` and ``max_events`` are honored between events inside
           a batch, not just between batches.
         """

@@ -13,12 +13,11 @@ produce execution time (see :mod:`repro.cluster.server`).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.mem.address import AddressSpace, Region
-from repro.mem.cache import slowpath_enabled
 from repro.workloads.microservices import ServiceProfile
 
 #: Cache lines per 4 KB page at 64 B lines.
@@ -37,16 +36,14 @@ PRIVATE_POOL = 4
 #: Fraction of data references that are stores.
 WRITE_FRACTION = 0.3
 
-Access = Tuple[int, bool, bool, bool]  # (address, shared, is_instr, is_write)
-
 
 class AccessBatch:
     """A segment's sampled accesses as parallel NumPy arrays.
 
-    The fast path (:meth:`repro.mem.hierarchy.CoreMemory.access_batch`)
-    consumes the arrays wholesale; iterating yields the classic
-    ``(addr, shared, instr, write)`` tuples (Python scalars) so per-access
-    consumers — the reference slow path, tests — keep working unchanged.
+    :meth:`repro.mem.hierarchy.CoreMemory.access_batch` consumes the
+    arrays wholesale; iterating yields the classic
+    ``(addr, shared, instr, write)`` tuples (Python scalars) for per-access
+    consumers such as the traced walk and the tests.
     """
 
     __slots__ = ("addr", "shared", "instr", "write")
@@ -85,7 +82,7 @@ _EMPTY_BATCH = AccessBatch(
 )
 
 
-#: Page / line geometry matching ``Region.addr`` / ``Region.line_addr``.
+#: Page / line geometry of ``Region.addr`` at 64 B lines.
 _PAGE_BYTES = 4096
 _LINE_BYTES = 64
 
@@ -103,7 +100,6 @@ class ServiceMemory:
         self._next_private = 0
         self._base_instr = self.instr.addr(0)
         self._base_shared = self.shared.addr(0)
-        self._fast = not slowpath_enabled()
 
     def new_invocation(self) -> Region:
         """Private region for a fresh invocation (cycled from the pool)."""
@@ -118,11 +114,8 @@ class ServiceMemory:
 
         Mix: ~30% instruction fetches (always shared), the rest data split
         between shared and private pages per the profile. Fully vectorized;
-        the draw order and per-element float arithmetic are bit-identical to
-        the reference scalar loop (pinned by the hot-path parity suite).
+        the draw order is pinned by the hot-path golden digests.
         """
-        if not self._fast:
-            return self._sample_reference(rng, n, private)
         if n <= 0:
             return _EMPTY_BATCH
         kind = rng.random(n)
@@ -154,38 +147,6 @@ class ServiceMemory:
         write = is_write & ~shared_page
         return AccessBatch(addr, shared_page, instr_m, write)
 
-    def _sample_reference(
-        self, rng: np.random.Generator, n: int, private: Region
-    ) -> List[Access]:
-        """The original per-element sampling loop (REPRO_MEM_SLOWPATH).
-
-        Kept as the live baseline for ``benchmarks/hotpath_speedup.py``;
-        draws and results are bit-identical to :meth:`sample`.
-        """
-        if n <= 0:
-            return []
-        kind = rng.random(n)
-        page_u = rng.random(n) ** PAGE_SKEW
-        line = rng.integers(0, HOT_LINES_PER_PAGE, n)
-        is_write = rng.random(n) < WRITE_FRACTION
-        shared_frac = self.profile.shared_ref_fraction
-        out: List[Access] = []
-        for i in range(n):
-            k = kind[i]
-            if k < 0.30:
-                region, instr = self.instr, True
-            elif k < 0.30 + 0.70 * shared_frac:
-                region, instr = self.shared, False
-            else:
-                region, instr = private, False
-            page = int(page_u[i] * region.num_pages)
-            if page >= region.num_pages:
-                page = region.num_pages - 1
-            addr = region.line_addr(page, int(line[i]))
-            write = bool(is_write[i]) and not instr and not region.shared
-            out.append((addr, region.shared, instr, write))
-        return out
-
 
 class BatchMemory:
     """Address regions and access sampling for a batch job.
@@ -203,11 +164,8 @@ class BatchMemory:
         self.skew = skew
         self._base_code = self.code.addr(0)
         self._base_data = self.data.addr(0)
-        self._fast = not slowpath_enabled()
 
     def sample(self, rng: np.random.Generator, n: int) -> AccessBatch:
-        if not self._fast:
-            return self._sample_reference(rng, n)
         if n <= 0:
             return _EMPTY_BATCH
         kind = rng.random(n)
@@ -225,26 +183,3 @@ class BatchMemory:
         addr = base + page * _PAGE_BYTES + line * _LINE_BYTES
         write = is_write & ~code_m
         return AccessBatch(addr, code_m, code_m, write)
-
-    def _sample_reference(self, rng: np.random.Generator, n: int) -> List[Access]:
-        """The original per-element sampling loop (REPRO_MEM_SLOWPATH)."""
-        if n <= 0:
-            return []
-        kind = rng.random(n)
-        page_u = rng.random(n) ** self.skew
-        line = rng.integers(0, 2 * HOT_LINES_PER_PAGE, n)
-        is_write = rng.random(n) < WRITE_FRACTION
-        out: List[Access] = []
-        for i in range(n):
-            if kind[i] < 0.2:
-                region, instr = self.code, True
-            else:
-                region, instr = self.data, False
-            page = int(page_u[i] * region.num_pages)
-            if page >= region.num_pages:
-                page = region.num_pages - 1
-            write = bool(is_write[i]) and not instr
-            out.append(
-                (region.line_addr(page, int(line[i])), region.shared, instr, write)
-            )
-        return out

@@ -7,9 +7,8 @@ perturbation introduced by a hot-path change flips the digest.
 
 ``tests/data/golden_hotpath.json`` pins the digests produced by the
 original (pre-fast-path) per-access implementation; the parity tests
-assert that the memory fast path, the scheduler fast path
-(``REPRO_SCHED_SLOWPATH``), and every combination reproduce them
-bit-for-bit.  Regenerate with::
+assert that the batched memory walk and the batched scheduler reproduce
+them bit-for-bit.  Regenerate with::
 
     PYTHONPATH=src python tests/_hotpath_golden.py --write
 """

@@ -7,12 +7,14 @@ Three invariants anchor this layer:
   reproduce the legacy full-payload keys *byte-for-byte*, pinned against
   ``tests/data/golden_cache_keys.json`` so existing on-disk caches keep
   hitting across the optimization.
-* **Format migration** — v2 (compressed) readers serve legacy v1 entries
-  transparently, and every maintenance surface (``disk_stats``,
-  ``prune_stale``, the CLI) understands both formats side by side.
-* **Result parity** — the fast path (split keys, v2 entries, LRU layer,
-  worker memo, compressed chunk IPC) and the ``REPRO_DATAPLANE_SLOWPATH``
-  reference produce bit-identical sweep fingerprints, warm or cold.
+* **Format migration** — readers serve legacy v1 entries transparently
+  (the committed ``tests/data/cache_v1`` directory), and every
+  maintenance surface (``disk_stats``, ``prune_stale``, the CLI)
+  understands both formats side by side.  Well-formed JSON of the wrong
+  shape is a corrupt entry, never a crash or a hit.
+* **Result parity** — split keys, v2 entries, the LRU layer, the worker
+  memo and compressed chunk IPC give bit-identical sweep fingerprints,
+  warm or cold, serial or pooled.
 
 Plus the job-store TTL satellite: eviction of terminal job records via
 the manager, the offline pruner, and the CLI.
@@ -28,6 +30,7 @@ import zlib
 
 import pytest
 
+import repro
 from repro.config import SimulationConfig
 from repro.core.export import server_result_to_dict
 from repro.core.presets import all_systems
@@ -48,10 +51,25 @@ TINY = SimulationConfig(horizon_ms=10.0, warmup_ms=2.0, accesses_per_segment=2)
 PAYLOAD = {"system": {"name": "X"}, "simulation": {"seed": 3}, "server_index": 0}
 RESULT = {"p99": 1.25, "counters": {"lends": 4}}
 
+#: Legacy v1 entries (plain ``json.dumps`` of ``{version, payload,
+#: result}``), written by the v1 writer before it was removed: the
+#: PAYLOAD/RESULT pair plus both points of ``tiny_spec(seeds=(0,))``.
+#: They carry a fixed version string, so package version bumps leave
+#: them current.
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cache_v1")
+V1_VERSION = "v1-fixture"
+
 
 def tiny_spec(n_systems=2, seeds=(0, 1)) -> SweepSpec:
     systems = dict(list(all_systems().items())[:n_systems])
     return SweepSpec(systems=systems, seeds=seeds, sim=TINY)
+
+
+def v1_cache(tmp_path) -> ResultCache:
+    """A cache over a private copy of the v1 fixture directory."""
+    root = str(tmp_path / "cache_v1")
+    shutil.copytree(V1_FIXTURE, root)
+    return ResultCache(root=root, version=V1_VERSION)
 
 
 def fingerprints(results) -> dict:
@@ -107,16 +125,13 @@ def test_fragment_memo_shares_instances_across_points():
 # Cache v2: format, migration, LRU layer, batch APIs
 # ---------------------------------------------------------------------------
 def test_v1_entry_readable_under_v2(tmp_path):
-    legacy = ResultCache(root=str(tmp_path), store_format="v1")
-    key = legacy.key(PAYLOAD)
-    legacy.put(key, PAYLOAD, RESULT)
-    with open(legacy._path(key), "rb") as fh:
+    cache = v1_cache(tmp_path)
+    key = cache.key(PAYLOAD)
+    with open(cache._path(key), "rb") as fh:
         assert not fh.read().startswith(V2_MAGIC)  # plain JSON on disk
-    modern = ResultCache(root=str(tmp_path))
-    assert modern.store_format == "v2"
-    assert modern.get(key) == RESULT  # transparent read, no invalidation
-    assert modern.stats == CacheStats(hits=1)
-    assert modern.read_entry(key)["payload"] == PAYLOAD
+    assert cache.get(key) == RESULT  # transparent read, no invalidation
+    assert cache.stats == CacheStats(hits=1)
+    assert cache.read_entry(key)["payload"] == PAYLOAD
 
 
 def test_v2_entries_are_marked_and_compressed(tmp_path):
@@ -135,27 +150,62 @@ def test_v2_entries_are_marked_and_compressed(tmp_path):
 
 
 def test_mixed_format_disk_stats_and_prune(tmp_path):
-    v1 = ResultCache(root=str(tmp_path), store_format="v1")
-    v2 = ResultCache(root=str(tmp_path), store_format="v2")
-    v1.put(v1.key(PAYLOAD), PAYLOAD, RESULT)
+    cache = v1_cache(tmp_path)  # three current v1 entries to start with
     other = {**PAYLOAD, "server_index": 1}
-    v2.put(v2.key(other), other, RESULT)
-    stale = ResultCache(root=str(tmp_path), version="0.0.1")
+    cache.put(cache.key(other), other, RESULT)
+    stale = ResultCache(root=cache.root, version="0.0.1")
     stale_payload = {**PAYLOAD, "server_index": 2}
     stale.put(stale.key(stale_payload), stale_payload, RESULT)
 
-    disk = v2.disk_stats()
-    assert disk["entries"] == 3
-    assert disk["by_format"] == {"v1": 1, "v2": 2}
-    assert disk["current"] == 2 and disk["stale"] == 1
-    assert disk["by_version"][v2.version] == 2
-    assert disk["by_version"]["0.0.1"] == 1
+    disk = cache.disk_stats()
+    assert disk["entries"] == 5
+    assert disk["by_format"] == {"v1": 3, "v2": 2}
+    assert disk["current"] == 4 and disk["stale"] == 1
+    assert disk["by_version"] == {V1_VERSION: 4, "0.0.1": 1}
 
     # prune_stale removes the stale v2 entry, keeps both current formats.
-    assert v2.prune_stale() == 1
-    disk = v2.disk_stats()
-    assert disk["entries"] == 2 and disk["stale"] == 0
-    assert disk["by_format"] == {"v1": 1, "v2": 1}
+    assert cache.prune_stale() == 1
+    disk = cache.disk_stats()
+    assert disk["entries"] == 4 and disk["stale"] == 0
+    assert disk["by_format"] == {"v1": 3, "v2": 1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "null",
+        "42",
+        "[]",
+        '"a string that mentions result"',
+        '{"version": "VERSION", "result": 5}',
+        '{"version": "VERSION", "result": null}',
+        '{"result": {}}',
+    ],
+    ids=["null", "number", "list", "string", "int-result", "null-result",
+         "no-version"],
+)
+def test_wrong_shape_v1_entry_is_corrupt(tmp_path, text):
+    """Well-formed JSON of the wrong shape is a corrupt entry everywhere:
+    a miss plus an invalidation that deletes it, ``<corrupt>`` in
+    ``disk_stats``, and removed by ``prune_stale``."""
+    cache = ResultCache(root=str(tmp_path))
+    key = cache.key(PAYLOAD)
+    path = cache._path(key)
+
+    def plant():
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text.replace("VERSION", repro.__version__))
+
+    plant()
+    assert cache.get(key) is None
+    assert cache.stats.invalidations == 1 and cache.stats.hits == 0
+    assert not os.path.exists(path)
+    plant()
+    disk = cache.disk_stats()
+    assert disk["entries"] == 1 and disk["by_version"] == {"<corrupt>": 1}
+    assert cache.prune_stale() == 1
+    assert not os.path.exists(path)
 
 
 def test_memory_layer_is_bounded_lru(tmp_path):
@@ -217,11 +267,6 @@ def test_put_accepts_canonical_payload_string(tmp_path):
     assert key == cache.key(PAYLOAD)
     cache.put(key, point_json, RESULT)
     assert cache.read_entry(key)["payload"] == PAYLOAD
-    # v1 writers parse the string back so the entry stays plain JSON.
-    v1 = ResultCache(root=str(tmp_path), store_format="v1")
-    v1.put(key, point_json, RESULT)
-    with open(v1._path(key)) as fh:
-        assert json.load(fh)["payload"] == PAYLOAD
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +333,7 @@ def test_walk_tolerates_shard_vanishing_mid_walk(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Runner: worker memo, compressed chunk IPC, slowpath parity
+# Runner: worker memo, compressed chunk IPC, v1 migration
 # ---------------------------------------------------------------------------
 def test_memoized_part_reuses_equal_content():
     import repro.parallel.runner as runner_mod
@@ -327,37 +372,17 @@ def test_chunk_results_cross_as_compressed_bytes():
     assert len(blob) < len(zlib.decompress(blob))
 
 
-def test_slowpath_and_fast_path_share_keys_and_results(tmp_path, monkeypatch):
-    """Cold slowpath run (legacy keying, v1 entries) then a fast warm run
-    over the same directory: every point must hit — split keys equal
-    legacy keys and v2 readers serve v1 entries — with identical
-    fingerprints."""
+def test_run_sweep_serves_every_point_from_v1_directory(tmp_path):
+    """A sweep over the committed v1 directory hits on every point, with
+    results bit-identical to a fresh run: split keys equal the keys the
+    legacy runner wrote, and the reader decodes v1 exactly."""
     spec = tiny_spec(n_systems=2, seeds=(0,))
-    monkeypatch.setenv("REPRO_DATAPLANE_SLOWPATH", "1")
-    legacy_cache = ResultCache(root=str(tmp_path))
-    assert legacy_cache.store_format == "v1"
-    assert legacy_cache.memory_entries == 0
-    cold = run_sweep(spec, workers=1, cache=legacy_cache)
-    assert cold.computed == 2
-
-    monkeypatch.delenv("REPRO_DATAPLANE_SLOWPATH")
-    warm_cache = ResultCache(root=str(tmp_path))
-    warm = run_sweep(spec, workers=1, cache=warm_cache)
+    cache = v1_cache(tmp_path)
+    warm = run_sweep(spec, workers=1, cache=cache)
     assert warm.from_cache == 2 and warm.computed == 0
-    assert fingerprints(warm.results) == fingerprints(cold.results)
-
-
-def test_fast_cold_then_slowpath_warm(tmp_path, monkeypatch):
-    """The reverse direction: v2 entries written by the fast path are
-    served under the slowpath's legacy keying (same keys, both formats
-    readable)."""
-    spec = tiny_spec(n_systems=1, seeds=(0, 1))
-    cold = run_sweep(spec, workers=1, cache=ResultCache(root=str(tmp_path)))
-    assert cold.computed == 2
-    monkeypatch.setenv("REPRO_DATAPLANE_SLOWPATH", "1")
-    warm = run_sweep(spec, workers=1, cache=ResultCache(root=str(tmp_path)))
-    assert warm.from_cache == 2 and warm.computed == 0
-    assert fingerprints(warm.results) == fingerprints(cold.results)
+    assert cache.stats.invalidations == 0
+    fresh = run_sweep(spec, workers=1)
+    assert fingerprints(warm.results) == fingerprints(fresh.results)
 
 
 def test_pooled_fast_path_matches_serial(tmp_path):

@@ -7,16 +7,16 @@ the lifecycle of a handle after cancellation (stale-handle bookkeeping
 via :attr:`EventHandle.active`).
 
 The second half targets the batched same-timestamp drain
-(:meth:`Simulator._run_batched`): zero-delay events joining the current
-batch, stop()/max_events honored mid-batch, heap compaction triggered
-*inside* a drain, and probes firing between batches — each checked
-against the reference loop (``REPRO_SCHED_SLOWPATH=1``) where the
-orderings are subtle.
+(:meth:`Simulator.run`): zero-delay events joining the current batch,
+stop()/max_events honored mid-batch, heap compaction triggered *inside*
+a drain, and probes firing between batches.  Where the orderings are
+subtle, the full trace is pinned literally: it is the order a
+one-event-at-a-time loop fires the same events in.
 """
 
 import pytest
 
-from repro.sim.engine import SCHED_SLOWPATH_ENV, Simulator
+from repro.sim.engine import Simulator
 
 
 def test_cancel_sibling_at_same_timestamp():
@@ -211,47 +211,31 @@ def test_rearm_must_target_now_or_later():
 # Batched same-timestamp drain
 # ----------------------------------------------------------------------
 
-def _both_paths(monkeypatch, scenario):
-    """Run ``scenario(sim) -> trace`` under the batched and the reference
-    loop; return both traces. The simulator is constructed *after* the
-    environment flip because the path choice is made at construction."""
-    monkeypatch.delenv(SCHED_SLOWPATH_ENV, raising=False)
-    fast = scenario(Simulator())
-    monkeypatch.setenv(SCHED_SLOWPATH_ENV, "1")
-    slow = scenario(Simulator())
-    return fast, slow
-
-
-def test_mixed_schedule_cancel_rearm_matches_reference(monkeypatch):
-    """A same-timestamp soup of schedule/cancel/re-arm fires identically
-    under the batched drain and the reference loop.
+def test_mixed_schedule_cancel_rearm_matches_reference():
+    """A same-timestamp soup of schedule/cancel/re-arm fires in the
+    one-event-at-a-time order.
 
     The first event at t=10 cancels one sibling, re-arms another at the
     same timestamp (delay=0 -> joins the current batch), and schedules a
     future event; the trace (tag, now) pairs must match exactly.
     """
+    sim = Simulator()
+    trace = []
 
-    def scenario(sim):
-        trace = []
+    def note(tag):
+        trace.append((tag, sim.now))
 
-        def note(tag):
-            trace.append((tag, sim.now))
+    def first():
+        note("first")
+        victim.cancel()
+        sim.schedule(0, note, "rearmed")  # joins the t=10 batch
+        sim.schedule(5, note, "future")
 
-        def first():
-            note("first")
-            victim.cancel()
-            sim.schedule(0, note, "rearmed")  # joins the t=10 batch
-            sim.schedule(5, note, "future")
-
-        sim.schedule(10, first)
-        victim = sim.schedule(10, note, "victim")
-        sim.schedule(10, note, "survivor")
-        sim.run()
-        return trace
-
-    fast, slow = _both_paths(monkeypatch, scenario)
-    assert fast == slow
-    assert fast == [
+    sim.schedule(10, first)
+    victim = sim.schedule(10, note, "victim")
+    sim.schedule(10, note, "survivor")
+    sim.run()
+    assert trace == [
         ("first", 10), ("survivor", 10), ("rearmed", 10), ("future", 15),
     ]
 
@@ -275,35 +259,27 @@ def test_zero_delay_chain_drains_in_one_batch():
     assert sim.now == 7
 
 
-def test_stop_mid_batch_suppresses_same_timestamp_tail(monkeypatch):
+def test_stop_mid_batch_suppresses_same_timestamp_tail():
     """stop() from inside a batch halts before the next same-timestamp
-    event — identical to the reference loop's behavior."""
-
-    def scenario(sim):
-        trace = []
-        sim.schedule(10, trace.append, "a")
-        sim.schedule(10, lambda: (trace.append("stop"), sim.stop()))
-        sim.schedule(10, trace.append, "never")
-        fired = sim.run()
-        return trace, fired, sim.pending_live_events
-
-    fast, slow = _both_paths(monkeypatch, scenario)
-    assert fast == slow == (["a", "stop"], 2, 1)
+    event."""
+    sim = Simulator()
+    trace = []
+    sim.schedule(10, trace.append, "a")
+    sim.schedule(10, lambda: (trace.append("stop"), sim.stop()))
+    sim.schedule(10, trace.append, "never")
+    fired = sim.run()
+    assert (trace, fired, sim.pending_live_events) == (["a", "stop"], 2, 1)
 
 
-def test_max_events_honored_mid_batch(monkeypatch):
-    """max_events cuts a batch short at exactly the same event as the
-    reference loop, and events_fired stays consistent."""
-
-    def scenario(sim):
-        trace = []
-        for i in range(5):
-            sim.schedule(10, trace.append, i)
-        fired = sim.run(max_events=3)
-        return trace, fired, sim.events_fired
-
-    fast, slow = _both_paths(monkeypatch, scenario)
-    assert fast == slow == ([0, 1, 2], 3, 3)
+def test_max_events_honored_mid_batch():
+    """max_events cuts a batch short at exactly the max_events-th event,
+    and events_fired stays consistent."""
+    sim = Simulator()
+    trace = []
+    for i in range(5):
+        sim.schedule(10, trace.append, i)
+    fired = sim.run(max_events=3)
+    assert (trace, fired, sim.events_fired) == ([0, 1, 2], 3, 3)
 
 
 def test_compaction_mid_drain_keeps_batch_coherent():
@@ -335,30 +311,35 @@ def test_compaction_mid_drain_keeps_batch_coherent():
     assert sim.pending_events == 0 and sim.pending_live_events == 0
 
 
-def test_compaction_mid_drain_matches_reference(monkeypatch):
-    """The mid-drain compaction scenario fires identically under the
-    reference loop (which compacts the same way but pops one event at a
-    time)."""
+def test_compaction_mid_drain_matches_reference():
+    """Mid-drain compaction across three timestamp batches keeps the
+    one-event-at-a-time order: every odd-indexed survivor fires, batch by
+    batch, in scheduling order within each batch."""
+    sim = Simulator()
+    sim.compact_min_cancelled = 8
+    trace = []
+    victims = []
 
-    def scenario(sim):
-        sim.compact_min_cancelled = 8
-        trace = []
-        victims = []
+    def massacre():
+        trace.append(("massacre", sim.now))
+        for h in victims[::2]:
+            h.cancel()
 
-        def massacre():
-            trace.append(("massacre", sim.now))
-            for h in victims[::2]:
-                h.cancel()
-
-        sim.schedule(10, massacre)
-        for i in range(40):
-            victims.append(sim.schedule(10 + (i % 3), trace.append, (i, "v")))
-        sim.run()
-        return trace
-
-    fast, slow = _both_paths(monkeypatch, scenario)
-    assert fast == slow
-    assert len(fast) == 1 + 20  # massacre + odd-indexed survivors
+    sim.schedule(10, massacre)
+    for i in range(40):
+        victims.append(sim.schedule(10 + (i % 3), trace.append, (i, "v")))
+    sim.run()
+    assert trace == [
+        ("massacre", 10),
+        # t=10
+        (3, "v"), (9, "v"), (15, "v"), (21, "v"), (27, "v"), (33, "v"),
+        (39, "v"),
+        # t=11
+        (1, "v"), (7, "v"), (13, "v"), (19, "v"), (25, "v"), (31, "v"),
+        (37, "v"),
+        # t=12
+        (5, "v"), (11, "v"), (17, "v"), (23, "v"), (29, "v"), (35, "v"),
+    ]
 
 
 def test_probes_fire_between_batches():
@@ -387,30 +368,25 @@ def test_probe_at_batch_timestamp_fires_before_first_live_event():
     assert trace == [("probe", 0), "event"]
 
 
-def test_probe_between_batches_matches_reference(monkeypatch):
-    """Probe interleaving with zero-delay batch extension is identical
-    under both loops: continuations scheduled into the current batch fire
-    before a probe stamped between this batch and the next.
+def test_probe_between_batches_matches_reference():
+    """Probe interleaving with zero-delay batch extension keeps the
+    one-event-at-a-time order: continuations scheduled into the current
+    batch fire before a probe stamped between this batch and the next.
 
     Events record only ``(tag, now)`` — ``events_fired`` is a
     barrier-consistent counter (folded once per batch), so only probes,
     which always run at barriers, may assert on it.
     """
+    sim = Simulator()
+    trace = []
 
-    def scenario(sim):
-        trace = []
+    def ev(tag):
+        trace.append((tag, sim.now))
+        if tag == "a":
+            sim.schedule(0, ev, "a0")
 
-        def ev(tag):
-            trace.append((tag, sim.now))
-            if tag == "a":
-                sim.schedule(0, ev, "a0")
-
-        sim.schedule(10, ev, "a")
-        sim.schedule(30, ev, "b")
-        sim.schedule_probe(20, lambda: trace.append(("p", sim.now, sim.events_fired)))
-        sim.run()
-        return trace
-
-    fast, slow = _both_paths(monkeypatch, scenario)
-    assert fast == slow
-    assert [t[0] for t in fast] == ["a", "a0", "p", "b"]
+    sim.schedule(10, ev, "a")
+    sim.schedule(30, ev, "b")
+    sim.schedule_probe(20, lambda: trace.append(("p", sim.now, sim.events_fired)))
+    sim.run()
+    assert trace == [("a", 10), ("a0", 10), ("p", 20, 2), ("b", 30)]

@@ -1,14 +1,14 @@
-"""Bit-identity guard for the memory and scheduler fast paths.
+"""Bit-identity guard for the memory and scheduler hot paths.
 
-The batched memory fast path (:meth:`CoreMemory.access_batch`, vectorized
-sampling, hashed per-set tag indexes) and the scheduler fast path (the
-engine's batched same-timestamp drain, the subqueue status-code mirrors,
-the NumPy ready-scan kernels) must reproduce the reference per-access /
+The batched memory walk (:meth:`CoreMemory.access_batch`, vectorized
+sampling, hashed per-set tag indexes) and the scheduler (the engine's
+batched same-timestamp drain, the subqueue status-code mirrors, the
+NumPy ready-scan kernels) must reproduce the original per-access /
 per-event implementations *exactly* — every counter, latency percentile,
 and resilience metric.  ``tests/data/golden_hotpath.json`` pins digests
-computed by the reference implementation; these tests hold the default
-fast paths and every live slow-path combination (``REPRO_MEM_SLOWPATH``,
-``REPRO_SCHED_SLOWPATH``) to them.
+computed by those original implementations; these tests hold today's
+single implementation to them, and check the structural mirrors the
+hot paths rely on.
 
 Regenerate the pins (only when intentionally changing simulation
 behavior) with ``PYTHONPATH=src python tests/_hotpath_golden.py --write``.
@@ -25,9 +25,6 @@ from repro.hw.request_queue import (
     CODE_RUNNING,
     RequestStatus,
 )
-from repro.hw.sched_kernels import READY_BYTE
-from repro.mem.cache import SLOWPATH_ENV
-from repro.sim.engine import SCHED_SLOWPATH_ENV
 
 from tests._hotpath_golden import all_cases, case_label, load_golden, run_digest
 
@@ -47,7 +44,7 @@ _STATUS_CODE = {
     ids=[case_label(*c) for c in CASES],
 )
 def test_fast_path_matches_golden(system_key, seed, variant):
-    """Default (fast) paths reproduce the pinned reference digests."""
+    """The hot paths reproduce the pinned digests."""
     assert run_digest(system_key, seed, variant) == GOLDEN[
         case_label(system_key, seed, variant)
     ]
@@ -64,44 +61,6 @@ def test_telemetry_is_zero_perturbation():
         assert GOLDEN[case_label(system_key, 0, "telemetry")] == GOLDEN[
             case_label(system_key, 0)
         ]
-
-
-@pytest.mark.parametrize("system_key", ["SW", "HardHarvest"])
-def test_mem_slow_path_matches_golden(system_key, monkeypatch):
-    """The in-tree memory reference implementation still produces the pins.
-
-    One seed per system keeps this affordable; it guards the *baseline*
-    of ``benchmarks/hotpath_speedup.py`` against silent drift (a speedup
-    measured against a broken reference would be meaningless).
-    """
-    monkeypatch.setenv(SLOWPATH_ENV, "1")
-    assert run_digest(system_key, 0) == GOLDEN[case_label(system_key, 0)]
-
-
-@pytest.mark.parametrize("system_key", ["SW", "HardHarvest"])
-def test_sched_slow_path_matches_golden(system_key, monkeypatch):
-    """The reference event loop + object-walk queue scans produce the pins.
-
-    Guards the baseline of ``benchmarks/sched_speedup.py`` the same way
-    the memory slow-path test guards ``hotpath_speedup.py``.
-    """
-    monkeypatch.setenv(SCHED_SLOWPATH_ENV, "1")
-    assert run_digest(system_key, 0) == GOLDEN[case_label(system_key, 0)]
-
-
-@pytest.mark.parametrize("system_key", ["SW", "HardHarvest"])
-def test_both_slow_paths_match_golden(system_key, monkeypatch):
-    """Both reference implementations together — the combined-speedup
-    denominator of ``benchmarks/sched_speedup.py`` — still match."""
-    monkeypatch.setenv(SLOWPATH_ENV, "1")
-    monkeypatch.setenv(SCHED_SLOWPATH_ENV, "1")
-    assert run_digest(system_key, 0) == GOLDEN[case_label(system_key, 0)]
-
-
-def test_ready_byte_matches_code_ready():
-    """The NumPy scan kernel and the subqueue mirror agree on the READY
-    encoding (and on READY == 0, which ``bytearray.find(0)`` relies on)."""
-    assert READY_BYTE == CODE_READY == 0
 
 
 # ----------------------------------------------------------------------

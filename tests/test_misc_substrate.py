@@ -79,11 +79,6 @@ class TestAddressSpace:
         with pytest.raises(IndexError):
             region.addr(0, PAGE_BYTES)
 
-    def test_line_addr_wraps(self):
-        region = AddressSpace(0).alloc(1, True)
-        assert region.line_addr(0, 0) == region.addr(0)
-        assert region.line_addr(0, 64) == region.addr(0)  # wraps at 64
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AddressSpace(-1)
