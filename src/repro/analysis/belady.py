@@ -72,9 +72,7 @@ def replay_policy(trace: Trace, ways: int, policy: ReplacementPolicy) -> float:
             policy.on_hit(cset, way)
             continue
         victim = policy.choose_victim(cset, shared, allowed)
-        cset.tags[victim] = tag
-        cset.valid[victim] = True
-        cset.shared[victim] = shared
+        cset.fill(victim, tag, shared, False)
         policy.on_insert(cset, victim, shared)
     return hits / len(trace)
 

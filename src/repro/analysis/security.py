@@ -70,7 +70,7 @@ def _audit_array(
     array.settle()
     for set_index, cset in array.sets.items():
         for way in range(cset.ways):
-            if not cset.valid[way]:
+            if not (cset.valid_mask >> way) & 1:
                 continue
             report.entries_checked += 1
             vm = _entry_vm(array, set_index, cset.tags[way], line_bytes)
@@ -143,7 +143,7 @@ def audit_flush_on_idle(sim: ServerSimulation) -> AuditReport:
             array.settle()
             for set_index, cset in array.sets.items():
                 for way in range(cset.ways):
-                    if not cset.valid[way]:
+                    if not (cset.valid_mask >> way) & 1:
                         continue
                     report.entries_checked += 1
                     vm = _entry_vm(array, set_index, cset.tags[way], granule)

@@ -89,18 +89,18 @@ class SetAssocArray:
             self._trace_limit is None or len(trace) < self._trace_limit
         ):
             trace.append((set_index, tag, shared))
-        way = cset.find_fast(tag, allowed)
+        way = cset.find(tag, allowed)
         if way >= 0:
             self.hits += 1
             if write:
-                cset.dirty[way] = True
+                cset.dirty_mask |= 1 << way
             self.policy.on_hit(cset, way)
             return True
         self.misses += 1
         victim = self.policy.choose_victim(cset, shared, allowed)
-        if cset.valid[victim]:
+        if (cset.valid_mask >> victim) & 1:
             self.evictions += 1
-            if cset.dirty[victim]:
+            if (cset.dirty_mask >> victim) & 1:
                 self.writebacks += 1
         cset.fill(victim, tag, shared, write)
         self.policy.on_insert(cset, victim, shared)
@@ -113,7 +113,7 @@ class SetAssocArray:
             return False
         if cset.seen_flush < self._flush_epoch:
             self._reconcile(cset)
-        return cset.find_fast(tag, allowed) >= 0
+        return cset.find(tag, allowed) >= 0
 
     # ------------------------------------------------------------------
     def _reconcile(self, cset: CacheSet) -> None:
@@ -132,25 +132,24 @@ class SetAssocArray:
                     flushed |= mask
             stale &= flushed
         if stale:
-            cset.valid_mask &= ~stale
-            valid = cset.valid
+            keep = ~stale
+            cset.valid_mask &= keep
+            cset.shared_mask &= keep
+            dirty = cset.dirty_mask & stale
+            if dirty:
+                cset.dirty_mask &= keep
+                self.writebacks += bin(dirty).count("1")
             tags = cset.tags
-            dirty = cset.dirty
             index = cset.index
             while stale:
                 low = stale & -stale
                 stale ^= low
-                w = low.bit_length() - 1
-                valid[w] = False
-                tag = tags[w]
+                tag = tags[low.bit_length() - 1]
                 m = index[tag] & ~low
                 if m:
                     index[tag] = m
                 else:
                     del index[tag]
-                if dirty[w]:
-                    dirty[w] = False
-                    self.writebacks += 1
         cset.seen_flush = self._flush_epoch
 
     def flush_ways(self, mask: int) -> int:
@@ -185,7 +184,7 @@ class SetAssocArray:
     def occupancy(self) -> int:
         """Number of valid entries across all sets."""
         self.settle()
-        return sum(sum(cset.valid) for cset in self.sets.values())
+        return sum(bin(cset.valid_mask).count("1") for cset in self.sets.values())
 
 
 class Cache:

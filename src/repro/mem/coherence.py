@@ -73,9 +73,6 @@ class Directory:
                     cache.array._reconcile(cset)
                 way = cset.find(tag, full_mask(cache.array.ways))
                 if way >= 0:
-                    # Index-coherent invalidation: these sets are owned by a
-                    # SetAssocArray, whose hashed tag store must not go
-                    # stale when the directory knocks a line out.
                     cset.invalidate_way(way)
                     invalidated += 1
             self._sharers[line].discard(sharer)

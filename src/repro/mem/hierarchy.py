@@ -97,10 +97,11 @@ def _walk_step(arr: SetAssocArray, granularity_bytes: int):
         mf = index.get(tag)
         m = mf and mf & allowed
         if m:
-            w = (m & -m).bit_length() - 1
+            low = m & -m
+            w = low.bit_length() - 1
             arr.hits += 1
             if wr:
-                cset.dirty[w] = True
+                cset.dirty_mask |= low
             if simple:
                 c = cset.clock + 1
                 cset.clock = c
@@ -109,7 +110,8 @@ def _walk_step(arr: SetAssocArray, granularity_bytes: int):
                 on_hit(cset, w)
             return True
         arr.misses += 1
-        empty = allowed & ~cset.valid_mask
+        valid = cset.valid_mask
+        empty = allowed & ~valid
         if empty:
             if harvest is not None:
                 pref = (empty & ~harvest) if sh else (empty & harvest)
@@ -119,21 +121,28 @@ def _walk_step(arr: SetAssocArray, granularity_bytes: int):
         else:
             victim = victim_full(cset, sh, allowed)
         vbit = 1 << victim
-        if cset.valid_mask & vbit:
+        if valid & vbit:
+            # Evict: drop the old line's index entry, Shared and dirty bits.
             arr.evictions += 1
-            if cset.dirty[victim]:
+            keep = ~vbit
+            dirty = cset.dirty_mask
+            if dirty & vbit:
                 arr.writebacks += 1
+                cset.dirty_mask = dirty & keep
+            cset.shared_mask &= keep
             otag = cset.tags[victim]
-            old = index[otag] & ~vbit
+            old = index[otag] & keep
             if old:
                 index[otag] = old
             else:
                 del index[otag]
+        else:
+            cset.valid_mask = valid | vbit
         cset.tags[victim] = tag
-        cset.valid[victim] = True
-        cset.shared[victim] = sh
-        cset.dirty[victim] = wr
-        cset.valid_mask |= vbit
+        if sh:
+            cset.shared_mask |= vbit
+        if wr:
+            cset.dirty_mask |= vbit
         index[tag] = mf | vbit if mf else vbit
         if simple:
             c = cset.clock + 1

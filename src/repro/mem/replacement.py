@@ -10,10 +10,11 @@ Implements the four policies compared in Figure 14 of the paper:
   with LRU tie-breaking. (Belady's offline MIN lives in
   :mod:`repro.analysis.belady` since it needs the future trace.)
 
-A policy operates on a :class:`CacheSet`, which stores per-way metadata as
-parallel lists for speed. Ways may be restricted by an ``allowed`` bitmask:
-when a core executes a Harvest VM under partitioning, only harvest-region
-ways are accessible (Section 4.2.1).
+A policy operates on a :class:`CacheSet`, which keeps the per-way
+valid, Shared and dirty bits as bitmasks and the tags, recency stamps and
+RRPVs in containers the cyclic garbage collector does not track. Ways may
+be restricted by an ``allowed`` bitmask: when a core executes a Harvest VM
+under partitioning, only harvest-region ways are accessible (Section 4.2.1).
 """
 
 from __future__ import annotations
@@ -24,70 +25,57 @@ from typing import List
 class CacheSet:
     """Per-way metadata of one cache/TLB set.
 
-    ``tags[w]`` is the tag stored in way ``w`` (arbitrary int), ``valid[w]``
-    whether it holds data, ``shared[w]`` the paper's Shared page bit.
-    ``stamp[w]`` is a recency stamp maintained by the policies (higher =
-    more recent); ``rrpv[w]`` is RRIP's re-reference prediction value.
+    Bit ``w`` of ``valid_mask`` says whether way ``w`` holds data, of
+    ``shared_mask`` whether it holds the paper's Shared page bit, of
+    ``dirty_mask`` whether it must be written back; Shared and dirty bits
+    are only ever set on valid ways. ``tags[w]`` is the tag stored in way
+    ``w`` (arbitrary int), ``stamp[w]`` its recency stamp maintained by the
+    policies (higher = more recent) and ``rrpv[w]`` RRIP's re-reference
+    prediction value.
+
+    A cold run builds a set for almost every access, so the set itself is
+    the only object of its state the cyclic GC tracks: ints and a
+    ``bytearray`` are not GC types, and a dict holding only ints stays
+    untracked. ``tags`` and ``stamp`` are therefore dicts filled on first
+    write: every writer goes through :meth:`fill` and the policy's
+    ``on_insert``, and nothing reads a way's tag or stamp before the way
+    has been valid.
     """
 
     __slots__ = (
-        "ways", "tags", "valid", "shared", "dirty", "stamp", "rrpv",
-        "clock", "seen_flush", "index", "valid_mask",
+        "ways", "tags", "valid_mask", "shared_mask", "dirty_mask", "stamp",
+        "rrpv", "clock", "seen_flush", "index",
     )
 
     def __init__(self, ways: int):
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
         self.ways = ways
-        self.tags: List[int] = [0] * ways
-        self.valid: List[bool] = [False] * ways
-        self.shared: List[bool] = [False] * ways
-        self.dirty: List[bool] = [False] * ways
-        self.stamp: List[int] = [0] * ways
-        self.rrpv: List[int] = [0] * ways
+        self.tags: dict = {}
+        self.valid_mask = 0
+        self.shared_mask = 0
+        self.dirty_mask = 0
+        self.stamp: dict = {}
+        self.rrpv = bytearray(ways)
         self.clock = 0
         #: Flush epoch this set has reconciled up to (see SetAssocArray).
         self.seen_flush = 0
         #: Hashed tag store: tag -> bitmask of *valid* ways holding it.
-        #: Maintained only by :meth:`fill` / :meth:`invalidate_way`; code
-        #: that mutates ``tags``/``valid`` directly (tests, offline replay)
-        #: must keep using the linear :meth:`find`.
         self.index: dict = {}
-        #: Bitmask mirror of ``valid`` (bit w set <=> valid[w] is True),
-        #: subject to the same maintenance contract as ``index``.
-        self.valid_mask = 0
 
     def find(self, tag: int, allowed: int) -> int:
         """Way index holding ``tag`` among allowed ways, or -1.
 
-        Linear reference scan; valid regardless of how the set was
-        populated. The hot path uses :meth:`find_fast` instead.
-        """
-        tags = self.tags
-        valid = self.valid
-        for w in range(self.ways):
-            if valid[w] and tags[w] == tag and (allowed >> w) & 1:
-                return w
-        return -1
-
-    def find_fast(self, tag: int, allowed: int) -> int:
-        """Index-backed :meth:`find`; requires fill/invalidate discipline.
-
         The same tag can occupy several ways (a mask-restricted miss fills
         a copy even when a disallowed way already holds the tag), so the
-        index stores a way *mask*; the lowest allowed way wins, matching
-        the linear scan exactly.
+        index stores a way *mask*; the lowest allowed way wins.
         """
-        m = self.index.get(tag)
-        if m is None:
-            return -1
-        m &= allowed
-        if m == 0:
-            return -1
+        m = self.index.get(tag, 0) & allowed
+        # (0).bit_length() - 1 == -1: no allowed way holds the tag.
         return (m & -m).bit_length() - 1
 
     def fill(self, way: int, tag: int, shared: bool, dirty: bool) -> None:
-        """Install ``tag`` in ``way``, keeping the index/mask coherent."""
+        """Install ``tag`` in ``way``, keeping the index and masks coherent."""
         bit = 1 << way
         index = self.index
         if self.valid_mask & bit:
@@ -98,28 +86,33 @@ class CacheSet:
             else:
                 del index[old]
         self.tags[way] = tag
-        self.valid[way] = True
-        self.shared[way] = shared
-        self.dirty[way] = dirty
         self.valid_mask |= bit
+        if shared:
+            self.shared_mask |= bit
+        else:
+            self.shared_mask &= ~bit
+        if dirty:
+            self.dirty_mask |= bit
+        else:
+            self.dirty_mask &= ~bit
         index[tag] = index.get(tag, 0) | bit
 
     def invalidate_way(self, way: int) -> bool:
-        """Invalidate one way (index-coherently); True if it was valid."""
+        """Invalidate one way, dropping its Shared and dirty bits with it;
+        True if it was valid."""
         bit = 1 << way
-        if not self.valid[way]:
-            # Tolerate sets populated by direct mutation: fall back to the
-            # lists as ground truth and leave the (unused) index alone.
+        if not self.valid_mask & bit:
             return False
-        self.valid[way] = False
-        if self.valid_mask & bit:
-            self.valid_mask &= ~bit
-            tag = self.tags[way]
-            m = self.index.get(tag, 0) & ~bit
-            if m:
-                self.index[tag] = m
-            elif tag in self.index:
-                del self.index[tag]
+        keep = ~bit
+        self.valid_mask &= keep
+        self.shared_mask &= keep
+        self.dirty_mask &= keep
+        tag = self.tags[way]
+        m = self.index[tag] & keep
+        if m:
+            self.index[tag] = m
+        else:
+            del self.index[tag]
         return True
 
     def touch(self, way: int) -> None:
@@ -129,7 +122,11 @@ class CacheSet:
 
 
 class ReplacementPolicy:
-    """Interface: victim choice plus hit/insert bookkeeping."""
+    """Interface: victim choice plus hit/insert bookkeeping.
+
+    A policy implements :meth:`choose_victim_full`; :meth:`choose_victim`
+    fills an empty allowed way first and only asks it when there is none.
+    """
 
     name = "base"
 
@@ -140,37 +137,18 @@ class ReplacementPolicy:
         cset.touch(way)
 
     def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
-        raise NotImplementedError
+        """The lowest empty allowed way, else :meth:`choose_victim_full`."""
+        empty = allowed & ~cset.valid_mask & ((1 << cset.ways) - 1)
+        if empty:
+            return (empty & -empty).bit_length() - 1
+        return self.choose_victim_full(cset, incoming_shared, allowed)
 
     def choose_victim_full(
         self, cset: CacheSet, incoming_shared: bool, allowed: int
     ) -> int:
-        """:meth:`choose_victim` for callers that already know every allowed
-        way is valid (the batched walk checks ``valid_mask`` first), so the
-        invalid-way scans can be skipped.  Must return exactly what
-        :meth:`choose_victim` would under that precondition."""
-        return self.choose_victim(cset, incoming_shared, allowed)
-
-
-def _first_invalid(cset: CacheSet, allowed: int) -> int:
-    for w in range(cset.ways):
-        if (allowed >> w) & 1 and not cset.valid[w]:
-            return w
-    return -1
-
-
-def _lru_way(cset: CacheSet, allowed: int) -> int:
-    best = -1
-    best_stamp = None
-    for w in range(cset.ways):
-        if (allowed >> w) & 1:
-            s = cset.stamp[w]
-            if best_stamp is None or s < best_stamp:
-                best_stamp = s
-                best = w
-    if best < 0:
-        raise ValueError("no allowed ways in set (allowed mask empty)")
-    return best
+        """The victim when every allowed way is valid (the batched walk
+        checks ``valid_mask`` itself and calls this directly)."""
+        raise NotImplementedError
 
 
 class LruPolicy(ReplacementPolicy):
@@ -178,16 +156,21 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
-        inv = _first_invalid(cset, allowed)
-        if inv >= 0:
-            return inv
-        return _lru_way(cset, allowed)
-
     def choose_victim_full(
         self, cset: CacheSet, incoming_shared: bool, allowed: int
     ) -> int:
-        return _lru_way(cset, allowed)
+        stamp = cset.stamp
+        best = -1
+        best_stamp = None
+        for w in range(cset.ways):
+            if (allowed >> w) & 1:
+                s = stamp[w]
+                if best_stamp is None or s < best_stamp:
+                    best_stamp = s
+                    best = w
+        if best < 0:
+            raise ValueError("no allowed ways in set (allowed mask empty)")
+        return best
 
 
 class RripPolicy(ReplacementPolicy):
@@ -204,21 +187,6 @@ class RripPolicy(ReplacementPolicy):
     def on_insert(self, cset: CacheSet, way: int, shared: bool) -> None:
         cset.touch(way)
         cset.rrpv[way] = self.MAX_RRPV - 1
-
-    def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
-        inv = _first_invalid(cset, allowed)
-        if inv >= 0:
-            return inv
-        if not any((allowed >> w) & 1 for w in range(cset.ways)):
-            raise ValueError("no allowed ways in set (allowed mask empty)")
-        rrpv = cset.rrpv
-        while True:
-            for w in range(cset.ways):
-                if (allowed >> w) & 1 and rrpv[w] >= self.MAX_RRPV:
-                    return w
-            for w in range(cset.ways):
-                if (allowed >> w) & 1:
-                    rrpv[w] += 1
 
     def choose_victim_full(
         self, cset: CacheSet, incoming_shared: bool, allowed: int
@@ -275,63 +243,38 @@ class HardHarvestPolicy(ReplacementPolicy):
             cached = (ways, m)
             self._window_cache[allowed] = cached
         ways, m = cached
-        # sorted() is stable, so ties resolve by ascending way index exactly
-        # like the reference in-place sort of the ascending-built list did.
+        # sorted() is stable, so ties resolve by ascending way index.
         return sorted(ways, key=cset.stamp.__getitem__)[:m]
 
     def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
-        harvest = self.harvest_mask
-        valid = cset.valid
-        shared = cset.shared
-
-        # Empty-slot handling is not window-restricted (Algorithm 1 top half).
-        empty_pref = -1
-        empty_any = -1
-        for w in range(cset.ways):
-            if (allowed >> w) & 1 and not valid[w]:
-                if empty_any < 0:
-                    empty_any = w
-                in_harvest = (harvest >> w) & 1
-                if incoming_shared and not in_harvest:
-                    empty_pref = w
-                    break
-                if not incoming_shared and in_harvest:
-                    empty_pref = w
-                    break
-        if empty_pref >= 0:
-            return empty_pref
-        if empty_any >= 0:
-            return empty_any
-
-        # Eviction case: restrict to the M least-recently-used candidates.
-        candidates = self._candidates(cset, allowed)
-        if incoming_shared:
-            first_region, second_region = 0, 1  # non-harvest first
-        else:
-            first_region, second_region = 1, 0  # harvest first
-        for wanted in (first_region, second_region):
-            for w in candidates:
-                if ((harvest >> w) & 1) == wanted and not shared[w]:
-                    return w
-        # All candidate slots hold shared entries: evict the LRU candidate.
-        return candidates[0]
+        # Empty-slot handling is not window-restricted (Algorithm 1 top
+        # half): the lowest empty way of the incoming entry's region, else
+        # the lowest empty way.
+        empty = allowed & ~cset.valid_mask & ((1 << cset.ways) - 1)
+        if empty:
+            harvest = self.harvest_mask
+            pref = empty & ~harvest if incoming_shared else empty & harvest
+            if pref:
+                empty = pref
+            return (empty & -empty).bit_length() - 1
+        return self.choose_victim_full(cset, incoming_shared, allowed)
 
     def choose_victim_full(
         self, cset: CacheSet, incoming_shared: bool, allowed: int
     ) -> int:
-        # Algorithm 1's empty-slot top half can find nothing when every
-        # allowed way is valid; go straight to the windowed eviction case.
+        # Eviction case: restrict to the M least-recently-used candidates.
         candidates = self._candidates(cset, allowed)
         harvest = self.harvest_mask
-        shared = cset.shared
+        shared = cset.shared_mask
         if incoming_shared:
             regions = (0, 1)  # non-harvest first
         else:
             regions = (1, 0)  # harvest first
         for wanted in regions:
             for w in candidates:
-                if ((harvest >> w) & 1) == wanted and not shared[w]:
+                if ((harvest >> w) & 1) == wanted and not (shared >> w) & 1:
                     return w
+        # All candidate slots hold shared entries: evict the LRU candidate.
         return candidates[0]
 
 

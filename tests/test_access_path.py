@@ -92,7 +92,7 @@ def test_writes_propagate_dirty_to_l1(llc):
     set_index, tag = mem.l1d.locate(0xB000)
     cset = mem.l1d.array.sets[set_index]
     way = cset.find(tag, (1 << mem.l1d.array.ways) - 1)
-    assert cset.dirty[way]
+    assert (cset.dirty_mask >> way) & 1
 
 
 def test_flush_then_llc_warm_restart_cheaper_than_dram(llc):

@@ -1,11 +1,18 @@
 """Unit tests for the set-associative array, cache, and TLB models."""
 
+import gc
+
+import numpy as np
 import pytest
 
+from repro.config import HierarchyConfig, MemoryConfig, PartitionConfig, ReplacementKind
 from repro.mem.cache import Cache, SetAssocArray
+from repro.mem.dram import DramModel
+from repro.mem.hierarchy import CoreMemory, build_llc
 from repro.mem.partition import WayPartition, full_mask, harvest_mask
-from repro.mem.replacement import LruPolicy
+from repro.mem.replacement import CacheSet, LruPolicy
 from repro.mem.tlb import Tlb
+from repro.workloads.memory_profile import AccessBatch
 
 
 def make_array(sets=4, ways=2):
@@ -172,3 +179,39 @@ class TestPartitionMasks:
         part = WayPartition.unpartitioned(8)
         assert part.harvest == 0
         assert part.non_harvest == full_mask(8)
+
+
+def test_built_sets_hold_nothing_the_cyclic_gc_tracks():
+    """A cold run builds a set for almost every access, so a built set must
+    be the only object of its state the cyclic GC tracks: tags, stamps,
+    RRPVs, the tag index and the bit masks all stay untracked."""
+    hierarchy = HierarchyConfig()
+    rng = np.random.default_rng(0)
+    n = 2000
+    batch = AccessBatch(
+        rng.integers(0, 1 << 30, size=n).astype(np.int64),
+        rng.random(n) < 0.5, rng.random(n) < 0.3, rng.random(n) < 0.3,
+    )
+    built = 0
+    for kind in (ReplacementKind.LRU, ReplacementKind.RRIP,
+                 ReplacementKind.HARDHARVEST):
+        mem = CoreMemory(
+            hierarchy, PartitionConfig(enabled=True, replacement=kind),
+            DramModel(MemoryConfig()),
+        )
+        llc = build_llc("llc", hierarchy, 4)
+        mem.access_batch(batch, llc, True, 0)
+        mem.flush_harvest_region()
+        mem.access_batch(batch, llc, False, 0)
+        arrays = [mem.l1_tlb.array, mem.l2_tlb.array, mem.l1i.array,
+                  mem.l1d.array, mem.l2.array, llc.array]
+        for arr in arrays:
+            arr.settle()
+            for cset in arr.sets.values():
+                built += 1
+                tracked = [
+                    type(r).__name__ for r in gc.get_referents(cset)
+                    if r is not CacheSet and gc.is_tracked(r)
+                ]
+                assert not tracked, f"{arr.name}: {tracked}"
+    assert built > 5000

@@ -88,3 +88,26 @@ def test_writer_becomes_sole_sharer():
     d.write(2, 0x4000, False, allowed)
     assert d.sharers_of(0x4000) == {2}
     assert d.invalidations_sent == 2
+
+
+def test_invalidating_a_written_line_drops_its_dirty_bit():
+    """A remote write knocks out a dirty copy: its Shared and dirty bits go
+    with its valid bit, and the invalidation counts no write-back."""
+    d = Directory()
+    c0, _ = make_cache()
+    c1, _ = make_cache()
+    d.register_core(0, [c0])
+    d.register_core(1, [c1])
+    allowed = full_mask(4)
+    d.write(1, 0x5000, True, allowed)  # core 1 holds a dirty, Shared copy
+    set_index, tag = c1.locate(0x5000)
+    cset = c1.array.sets[set_index]
+    way = cset.find(tag, allowed)
+    assert (cset.dirty_mask >> way) & 1 and (cset.shared_mask >> way) & 1
+    assert d.write(0, 0x5000, True, allowed) == 1
+    assert cset.find(tag, allowed) == -1
+    assert cset.dirty_mask & ~cset.valid_mask == 0
+    assert cset.shared_mask & ~cset.valid_mask == 0
+    c1.flush_all()
+    c1.array.settle()
+    assert c1.array.writebacks == 0

@@ -68,16 +68,16 @@ def test_telemetry_is_zero_perturbation():
 # ----------------------------------------------------------------------
 
 def _check_array(arr, label):
-    """The hashed index and valid_mask must mirror the per-way truth."""
+    """The hashed index must mirror the valid ways' tags, and the Shared
+    and dirty bits must sit on valid ways only."""
     for set_index, cset in arr.sets.items():
-        expect_mask = 0
         expect_index = {}
         for w in range(cset.ways):
-            if cset.valid[w]:
-                expect_mask |= 1 << w
+            if (cset.valid_mask >> w) & 1:
                 expect_index[cset.tags[w]] = expect_index.get(cset.tags[w], 0) | (1 << w)
-        assert cset.valid_mask == expect_mask, f"{label} set {set_index}"
         assert cset.index == expect_index, f"{label} set {set_index}"
+        assert cset.shared_mask & ~cset.valid_mask == 0, f"{label} set {set_index}"
+        assert cset.dirty_mask & ~cset.valid_mask == 0, f"{label} set {set_index}"
 
 
 def _check_subqueue(sq, label):
@@ -105,8 +105,8 @@ def test_index_consistency_after_run():
     """After a full simulated run every set's hashed index is coherent.
 
     ``settle()`` first applies any pending lazy way-flushes, then the
-    index/valid_mask mirrors are compared against the per-way arrays —
-    the invariant every fast-path fill/evict/reconcile must preserve.
+    index is re-derived from ``tags`` and ``valid_mask`` — the invariant
+    every fast-path fill/evict/reconcile must preserve.
     """
     sim = run_server_raw(
         hardharvest_block(),

@@ -64,9 +64,7 @@ def test_policy_victim_always_in_allowed_mask(policy, accesses, allowed):
             continue
         victim = policy.choose_victim(cset, shared, allowed)
         assert (allowed >> victim) & 1
-        cset.tags[victim] = tag
-        cset.valid[victim] = True
-        cset.shared[victim] = shared
+        cset.fill(victim, tag, shared, False)
         policy.on_insert(cset, victim, shared)
         assert cset.find(tag, allowed) == victim
 
@@ -86,9 +84,7 @@ def test_harvest_vm_fills_never_touch_non_harvest_ways(accesses):
         arr.access(tag % 4, tag, shared, harvest)
     arr.settle()
     for cset in arr.sets.values():
-        for w in range(4):
-            if cset.valid[w]:
-                assert (harvest >> w) & 1
+        assert cset.valid_mask & ~harvest == 0
 
 
 @given(
@@ -140,14 +136,16 @@ def test_partition_masks_disjoint_and_complete(ways, frac):
 def test_lazy_flush_matches_eager_model(ops):
     """The epoch-based lazy flush must be observationally equivalent to an
     eagerly-invalidated reference model, write-backs of dirty lines dropped
-    by (overlapping, partial) flushes included."""
+    by (overlapping, partial) flushes included; a set's Shared and dirty
+    bits never outlive its valid ones."""
     arr = SetAssocArray("lazy", 4, 4, LruPolicy())
     reference = {}  # (set, tag) -> [way, dirty], mirrored eagerly
     writebacks = 0
     mask_all = full_mask(4)
     for op, a, b, write in ops:
         if op == "access":
-            got = arr.access(a, b, False, mask_all, write)
+            # Odd tags are Shared lines, so the Shared bits get exercised.
+            got = arr.access(a, b, bool(b & 1), mask_all, write)
             want = (a, b) in reference
             assert got == want
             if want:
@@ -169,8 +167,14 @@ def test_lazy_flush_matches_eager_model(ops):
                 if (way_mask >> way) & 1:
                     writebacks += dirty
                     del reference[key]
+        for cset in arr.sets.values():
+            assert cset.dirty_mask & ~cset.valid_mask == 0
+            assert cset.shared_mask & ~cset.valid_mask == 0
     arr.settle()
     assert arr.writebacks == writebacks
+    for cset in arr.sets.values():
+        assert cset.dirty_mask & ~cset.valid_mask == 0
+        assert cset.shared_mask & ~cset.valid_mask == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from repro.mem.replacement import (
 def fill(cset, entries):
     """entries: list of (tag, shared). Fills ways 0..n-1, ascending recency."""
     for way, (tag, shared) in enumerate(entries):
-        cset.tags[way] = tag
-        cset.valid[way] = True
-        cset.shared[way] = shared
+        cset.fill(way, tag, shared, False)
         cset.touch(way)
 
 
@@ -27,7 +25,7 @@ class TestLru:
     def test_invalid_first(self):
         cset = CacheSet(4)
         fill(cset, [(1, False), (2, False)])
-        cset.valid[1] = False
+        cset.invalidate_way(1)
         assert LruPolicy().choose_victim(cset, False, ALL4) == 1
 
     def test_evicts_least_recent(self):
@@ -54,8 +52,7 @@ class TestRrip:
         cset = CacheSet(2)
         policy = RripPolicy()
         for way, tag in enumerate((1, 2)):
-            cset.tags[way] = tag
-            cset.valid[way] = True
+            cset.fill(way, tag, False, False)
             policy.on_insert(cset, way, False)
         # Both at RRPV=2; aging makes way 0 the first to reach 3.
         victim = policy.choose_victim(cset, False, 0b11)
@@ -65,8 +62,7 @@ class TestRrip:
         cset = CacheSet(2)
         policy = RripPolicy()
         for way, tag in enumerate((1, 2)):
-            cset.tags[way] = tag
-            cset.valid[way] = True
+            cset.fill(way, tag, False, False)
             policy.on_insert(cset, way, False)
         policy.on_hit(cset, 0)  # rrpv[0] = 0
         assert policy.choose_victim(cset, False, 0b11) == 1

@@ -85,9 +85,7 @@ class TestPrefetcher:
             pf.access(i * 64, False, harvest)
         cache.array.settle()
         for cset in cache.array.sets.values():
-            for w in range(4):
-                if cset.valid[w]:
-                    assert (harvest >> w) & 1
+            assert cset.valid_mask & ~harvest == 0
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
