@@ -780,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--cache-dir", default=".repro_cache",
                       help="result cache directory (default .repro_cache)")
     p_cl.add_argument("--task-timeout", type=float, default=None,
-                      help="per-point timeout in seconds (default: none)")
+                      help="per-point timeout in seconds (default: none); "
+                           "enforced only with --workers > 1")
     p_cl.add_argument("--json", default=None, help="write results JSON here")
     p_cl.add_argument("--csv", default=None, help="write results CSV here")
     p_cl.add_argument("--stats-json", default=None,
@@ -803,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--cache-dir", default=".repro_cache",
                       help="result cache directory (default .repro_cache)")
     p_sw.add_argument("--task-timeout", type=float, default=None,
-                      help="per-point timeout in seconds (default: none)")
+                      help="per-point timeout in seconds (default: none); "
+                           "enforced only with --workers > 1")
     p_sw.add_argument("--verify-cached", action="store_true",
                       help="recompute cache hits and assert bit-identical")
     p_sw.add_argument("--json", default=None, help="write results JSON here")

@@ -119,6 +119,12 @@ class BackendTier:
             name: BackendService(sim, name, n) for name, n in sizes.items()
         }
 
+    def close(self) -> None:
+        """Let go of the simulator and of queued callbacks (run over)."""
+        for svc in self.services.values():
+            svc.sim = None
+            svc.queue.clear()
+
     def for_service(self, service_name: str) -> BackendService:
         backend = SERVICE_BACKEND.get(service_name)
         if backend is None:

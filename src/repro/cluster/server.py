@@ -214,6 +214,7 @@ class ServerSimulation:
         self._target_completions = 0
         self._completions = 0
         self._finished = False
+        self._closed = False
 
         # ------------------------------------------------------------------
         # Telemetry (off by default). When disabled, ``tracer`` stays None
@@ -387,6 +388,8 @@ class ServerSimulation:
     # ==================================================================
     def run(self) -> None:
         """Run until all Primary requests complete (or the safety cap)."""
+        if self._closed:
+            raise RuntimeError("cannot run a closed ServerSimulation")
         if self.probes is not None:
             self.probes.start()
         self.agent.start()
@@ -405,6 +408,27 @@ class ServerSimulation:
                 self.counters.incr("horizon_cap_hit")
                 break
         self.end_ns = max(self.sim.now, 1)
+
+    def close(self) -> None:
+        """End the run: drop the references that make it cyclic garbage.
+
+        Cores, VMs, the agent and every pending event refer back to this
+        server, so without this a finished point lingers until the next
+        full collection.  Call it once ``summarize`` has read the results:
+        it clears no state a result or an export reads (metrics, counters,
+        tracer, probe series), only the event heaps and the components'
+        back-references.  Idempotent; a closed simulation refuses
+        :meth:`run`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.sim.close()
+        self.backends.close()
+        self.agent.engine = None
+        for part in (self.probes, self.injector, self.client):
+            if part is not None:
+                part.server = None
 
     def _horizon_cap(self) -> int:
         last = self.sim.peek_next_time() or 0

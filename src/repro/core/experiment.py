@@ -72,10 +72,19 @@ def run_server(
     batch_job: Optional[BatchJobProfile] = None,
     server_index: int = 0,
 ) -> ServerResult:
-    """Simulate one server to completion and summarize it."""
+    """Simulate one server to completion and summarize it.
+
+    Build, run, summarize, close: the simulation is closed (see
+    :meth:`ServerSimulation.close`) even when its run raises, so a pool
+    worker frees each finished point by reference counting instead of
+    holding it until a full collection.
+    """
     sim = ServerSimulation(system, simcfg or SimulationConfig(), batch_job, server_index)
-    sim.run()
-    return summarize(sim)
+    try:
+        sim.run()
+        return summarize(sim)
+    finally:
+        sim.close()
 
 
 def run_server_raw(
@@ -90,6 +99,10 @@ def run_server_raw(
     With ``simcfg.telemetry`` enabled, the returned simulation exposes the
     span tracer as ``.tracer`` (ring buffer of lifecycle events) and the
     gauge series as ``.probes``; both are ``None`` when telemetry is off.
+
+    The simulation is not closed: a long-lived caller should call its
+    :meth:`~ServerSimulation.close` once done with it, or it stays cyclic
+    garbage until the next full collection.
     """
     sim = ServerSimulation(system, simcfg or SimulationConfig(), batch_job, server_index)
     sim.run()

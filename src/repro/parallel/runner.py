@@ -270,7 +270,9 @@ def _execute_batch(
     rebuilds = 0
     if not tasks:
         return done, failed, rebuilds
-    if workers <= 1 or len(tasks) == 1:
+    # One task runs in this process unless a timeout must be enforced:
+    # only a pool worker can be abandoned (and terminated) mid-point.
+    if workers <= 1 or (len(tasks) == 1 and task_timeout is None):
         for label, payload_json in tasks:
             try:
                 done[label] = execute_payload(payload_json)
@@ -284,6 +286,7 @@ def _execute_batch(
     chunks = [tasks[i:i + chunk_size] for i in range(0, len(tasks), chunk_size)]
     max_workers = min(workers, len(chunks))
     pool = ProcessPoolExecutor(max_workers=max_workers, initializer=_init_worker)
+    timed_out = False
     try:
         futures = [(chunk, pool.submit(execute_payload_chunk, chunk))
                    for chunk in chunks]
@@ -300,6 +303,7 @@ def _execute_batch(
                         failed[label] = err
             except FutureTimeout:
                 future.cancel()
+                timed_out = True
                 for label, _ in chunk:
                     failed[label] = (
                         f"chunk of {len(chunk)} timed out after {timeout}s"
@@ -335,7 +339,15 @@ def _execute_batch(
                 for label, _ in chunk:
                     failed[label] = f"{type(exc).__name__}: {exc}"
     finally:
+        # A timed-out chunk's worker is still running it, and interpreter
+        # exit would wait for it: kill the pool's workers (every other
+        # chunk has been collected by now).
+        procs = list((pool._processes or {}).values()) if timed_out else []
         pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
     return done, failed, rebuilds
 
 

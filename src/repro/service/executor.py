@@ -50,12 +50,16 @@ def _export_trace(request: JobRequest, store: JobStore, job_id: str) -> int:
         )
     else:
         sim = run_server_raw(request.cluster_system(), request.sim)
-    vm_names = {vm.vm_id: vm.name for vm in sim.primary_vms}
-    for hvm in sim.harvest_vms:
-        vm_names[hvm.vm_id] = hvm.name
-    return write_perfetto_json(
-        store.trace_path(job_id), sim.tracer.events(), vm_names, len(sim.cores)
-    )
+    try:
+        vm_names = {vm.vm_id: vm.name for vm in sim.primary_vms}
+        for hvm in sim.harvest_vms:
+            vm_names[hvm.vm_id] = hvm.name
+        return write_perfetto_json(
+            store.trace_path(job_id), sim.tracer.events(), vm_names, len(sim.cores)
+        )
+    finally:
+        # The service is long-lived: free the run now, not at a collection.
+        sim.close()
 
 
 def _run_sweep_job(

@@ -252,6 +252,24 @@ class Simulator:
         """Request that the current :meth:`run` return after this event."""
         self._stop_requested = True
 
+    def close(self) -> None:
+        """Drop every pending event and probe; the run is over.
+
+        A pending handle's callback is usually a bound method of the
+        component that scheduled it, and that component often keeps the
+        handle (a core's ``run_event``, a request's deadline timer), so a
+        finished run is a web of reference cycles.  Clearing the heaps and
+        each pending handle's callback, arguments and simulator breaks
+        them, so the run is freed by reference counting alone.  Idempotent;
+        a later :meth:`run` finds nothing to fire.
+        """
+        for _time, _seq, handle in self._heap:
+            handle._fn = handle._sim = None
+            handle._args = ()
+        self._heap.clear()
+        self._probes.clear()
+        self._cancelled_pending = 0
+
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next pending (non-cancelled) event, or None."""
         while self._heap and self._heap[0][2].cancelled:

@@ -51,6 +51,9 @@ class ProbeEngine:
         self.rq_overflow: Dict[int, List[int]] = {
             vm.vm_id: [] for vm in server.primary_vms
         }
+        #: Column names outlive the server reference, which a closed run
+        #: drops.
+        self._vm_names = {vm.vm_id: vm.name for vm in server.primary_vms}
 
     def start(self) -> None:
         """Arm the first tick at t=0 (sampled before the first event)."""
@@ -87,7 +90,7 @@ class ProbeEngine:
             "l2_primary_hit_rate": self.l2_primary_hit_rate,
             "l2_batch_hit_rate": self.l2_batch_hit_rate,
         }
-        names = {vm.vm_id: vm.name for vm in self.server.primary_vms}
+        names = self._vm_names
         for vm_id in sorted(self.rq_depth):
             out[f"rq_depth/{names[vm_id]}"] = self.rq_depth[vm_id]
         for vm_id in sorted(self.rq_overflow):

@@ -330,6 +330,36 @@ def test_chunk_failure_is_isolated_to_guilty_point(monkeypatch):
     assert rebuilds == 0
 
 
+def test_hung_point_times_out_on_every_attempt_and_leaves_no_child(monkeypatch):
+    """With ``workers > 1`` and a ``task_timeout``, a point that hangs far
+    past the timeout fails every attempt, its singleton retries included,
+    and the pool workers stuck in it are terminated, not left to delay
+    interpreter exit."""
+    import multiprocessing
+    import time
+
+    import repro.parallel.runner as runner_mod
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork start method to inherit the monkeypatch")
+
+    real = runner_mod.execute_payload
+
+    def hangs(payload_json):
+        if json.loads(payload_json)["simulation"]["seed"] == 1:
+            time.sleep(30.0)
+        return real(payload_json)
+
+    monkeypatch.setattr(runner_mod, "execute_payload", hangs)
+    monkeypatch.setattr(runner_mod, "_sleep", lambda s: None)
+    children_before = set(multiprocessing.active_children())
+    started = time.monotonic()
+    with pytest.raises(SweepError, match=r"NoHarvest/seed=1: chunk of 1 timed out"):
+        run_sweep(tiny_spec(n_systems=1, seeds=(0, 1)), workers=2, task_timeout=1.0)
+    assert time.monotonic() - started < 15.0
+    assert set(multiprocessing.active_children()) <= children_before
+
+
 def test_broken_pool_is_rebuilt_and_sweep_completes(monkeypatch, tmp_path):
     """A worker dying hard (os._exit, the SIGKILL/OOM shape) poisons the
     whole pool; the batch must rebuild it, resubmit the lost chunks, and
