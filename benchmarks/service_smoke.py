@@ -5,7 +5,8 @@ subprocess (the real CLI, the real socket, the real signal path), then:
 
 1. submits a small sweep job and a duplicate of it — the duplicate must
    dedupe onto the same job id;
-2. submits a 4-server cluster-scale job;
+2. submits a 4-server cluster-scale job with ``harvest_base`` set (the
+   CLI's ``--harvest-base``);
 3. polls both to completion and compares every digest against the
    direct CLI path (``python -m repro sweep/cluster --stats-json``) run
    in a *separate* cache directory, so equality is a genuine cross-check
@@ -143,6 +144,7 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
                     "servers": 4, "requests": 6000, "epochs": 2,
                     "routing": "p2c",
                 },
+                "harvest_base": 2,
                 "simulation": CLUSTER_SIM,
             }
             cluster = client.submit(cluster_job)
@@ -169,6 +171,7 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
                     "cluster", "--system", "HardHarvest-Block",
                     "--servers", "4", "--requests", "6000",
                     "--epochs", "2", "--routing", "p2c",
+                    "--harvest-base", "2",
                     "--horizon-ms", str(CLUSTER_SIM["horizon_ms"]),
                     "--accesses", str(CLUSTER_SIM["accesses_per_segment"]),
                     "--workers", "1", "--cache-dir", cli_cache,

@@ -50,7 +50,6 @@ from repro.core import (
     hardharvest_block,
     hardharvest_term,
     noharvest,
-    run_cluster,
     run_server,
     run_server_raw,
     run_systems,
@@ -107,7 +106,6 @@ __all__ = [
     "hardharvest_block",
     "run_server",
     "run_server_raw",
-    "run_cluster",
     "run_systems",
     "ServerResult",
     "ClusterResult",

@@ -4,7 +4,10 @@ Commands
 --------
 ``run``      — simulate one server under one system and print its metrics.
 ``compare``  — run all five evaluated systems on the identical workload.
-``cluster``  — the paper's multi-server setup (one batch job per server).
+``cluster``  — the paper's multi-server setup (one batch job per server),
+               sharded into epochs with request routing, harvest
+               rebalancing, fault plans and checkpoints
+               (:mod:`repro.cluster_scale`).
 ``sweep``    — a (systems x seeds) grid through the parallel runner and
                the content-addressed result cache (:mod:`repro.parallel`).
 ``faults``   — run a canned fault scenario (:mod:`repro.faults`) and report
@@ -30,6 +33,11 @@ Commands
                the hottest functions (the entry point for hot-path work;
                to profile an older implementation, run it from a
                ``git archive`` of that commit).
+
+``sweep`` and ``cluster`` turn their flags into a job body and parse it
+with the service's validator (:mod:`repro.service.spec`), so a command and
+the equivalent ``POST /jobs`` body give the same configs, job id and
+digest.
 
 Examples::
 
@@ -57,7 +65,7 @@ from dataclasses import replace
 
 from repro.analysis.report import format_series, format_table, with_average
 from repro.config import ControllerConfig, HierarchyConfig, SimulationConfig, SystemKind
-from repro.core.experiment import run_cluster, run_server, run_systems
+from repro.core.experiment import run_server, run_systems
 from repro.core.presets import all_systems, build_system
 from repro.hw.storage_cost import compute_storage_report
 from repro.workloads.microservices import SERVICE_NAMES
@@ -71,7 +79,6 @@ def _sim_config(args: argparse.Namespace) -> SimulationConfig:
         warmup_ms=min(args.horizon_ms / 5, 100.0),
         seed=args.seed,
         accesses_per_segment=args.accesses,
-        servers_to_simulate=getattr(args, "servers", 1),
     )
 
 
@@ -117,12 +124,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             simcfg = loaded_sim
         name = system.name
     else:
-        kind = next((k for k in SystemKind if k.value == args.system), None)
-        if kind is None:
-            print(f"unknown system {args.system!r}; choose from {SYSTEM_NAMES}",
-                  file=sys.stderr)
-            return 2
-        system = build_system(kind)
+        system = build_system(SystemKind(args.system))
         name = args.system
     if args.dump_config:
         from repro.core.ioutil import atomic_open
@@ -166,105 +168,69 @@ def _write_stats_json(path: str, payload: dict) -> None:
     print(f"wrote run stats to {path}")
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    kind = next((k for k in SystemKind if k.value == args.system), None)
-    if kind is None:
-        print(f"unknown system {args.system!r}", file=sys.stderr)
-        return 2
-    system = build_system(kind)
-    scale_mode = (
-        args.requests is not None
-        or args.routing is not None
-        or args.epochs > 1
-        or args.workers > 1
-        or args.harvest_base is not None
-        or args.json is not None
-        or args.csv is not None
-        or args.stats_json is not None
-        or args.fault_plan is not None
-        or args.checkpoint
-        or args.resume is not None
-    )
-    if not scale_mode:
-        simcfg = replace(_sim_config(args), servers_to_simulate=args.servers)
-        result = run_cluster(system, simcfg)
-        print(f"=== {args.system} across {args.servers} servers")
-        for server in result.servers:
-            print(f"  [{server.batch_job:10s}] P99 {server.avg_p99_ms():6.2f} ms | "
-                  f"busy {server.avg_busy_cores:5.1f} | "
-                  f"batch {server.batch_units_per_s:7.0f} u/s")
-        print(f"  cluster avg P99 {result.avg_p99_ms():.2f} ms, "
-              f"busy {result.avg_busy_cores():.1f}")
-        return 0
+def _parse_job(args: argparse.Namespace, body: dict):
+    """Parse a job body built from ``sweep``/``cluster`` flags with the
+    service's validator; on a bad field, print it and return None.
 
-    # ------------------------------------------------------------------
-    # Sharded cluster-scale path (repro.cluster_scale).
-    # ------------------------------------------------------------------
-    import dataclasses
+    ``--workers`` is a run setting: it is set on the parsed request, so
+    the CLI keeps accepting what the service's admission limit refuses.
+    """
+    from repro.service.spec import JobValidationError, parse_job_request
+
+    body["simulation"] = {
+        "horizon_ms": args.horizon_ms,
+        "seed": args.seed,
+        "accesses_per_segment": args.accesses,
+    }
+    try:
+        request = parse_job_request(body)
+    except JobValidationError as exc:
+        print(f"{args.command}: invalid field {exc.field!r}: {exc}",
+              file=sys.stderr)
+        return None
+    return replace(request, workers=args.workers)
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.report import format_cluster_scale_report
-    from repro.cluster_scale import (
-        ROUTING_POLICY_NAMES,
-        CheckpointStore,
-        ClusterScaleConfig,
-        RoutingPolicy,
-        cluster_plan_names,
-        cluster_run_key,
-        get_cluster_plan,
-        run_cluster_scale,
-    )
+    from repro.cluster_scale import CheckpointStore, cluster_run_key
     from repro.core.export import write_cluster_scale_csv, write_cluster_scale_json
     from repro.parallel import DeterminismError, ResultCache, SweepError
+    from repro.service.executor import run_job
     from repro.workloads.batch import BATCH_JOBS
 
-    routing_name = args.routing or RoutingPolicy.ROUND_ROBIN.value
-    if routing_name not in ROUTING_POLICY_NAMES:
-        print(f"unknown routing policy {routing_name!r}; choose from "
-              f"{list(ROUTING_POLICY_NAMES)}", file=sys.stderr)
+    request = _parse_job(args, {
+        "kind": "cluster",
+        "system": args.system,
+        "cluster": {
+            "servers": args.servers,
+            "requests": args.requests,
+            "epochs": args.epochs,
+            "routing": args.routing,
+            "rebalance": not args.no_rebalance,
+            "harvest_min_cores": args.harvest_min,
+            "harvest_max_cores": args.harvest_max,
+        },
+        "fault_plan": args.fault_plan,
+        "harvest_base": args.harvest_base,
+        "cooldown": args.cooldown,
+    })
+    if request is None:
         return 2
-    if args.harvest_base is not None:
-        system = replace(
-            system,
-            cluster=replace(
-                system.cluster, harvest_vm_base_cores=args.harvest_base
-            ),
-        )
-    plan = None
-    if args.fault_plan is not None:
-        try:
-            plan = get_cluster_plan(args.fault_plan, args.servers, args.epochs)
-        except KeyError:
-            print(f"unknown fault plan {args.fault_plan!r}; choose from "
-                  f"{cluster_plan_names()}", file=sys.stderr)
-            return 2
-        if args.cooldown is not None:
-            plan = dataclasses.replace(plan, cooldown_epochs=args.cooldown)
+    cfg = request.cluster
+    if cfg.fault_plan is not None:
         print(f"fault plan {args.fault_plan} "
-              f"(cooldown {plan.cooldown_epochs} epoch(s)):")
-        print(plan.describe())
-    simcfg = replace(_sim_config(args), servers_to_simulate=args.servers)
-    try:
-        cfg = ClusterScaleConfig(
-            servers=args.servers,
-            requests=args.requests,
-            epochs=args.epochs,
-            epoch_ms=args.horizon_ms,
-            warmup_ms=simcfg.warmup_ms,
-            routing=RoutingPolicy(routing_name),
-            rebalance=not args.no_rebalance,
-            harvest_min_cores=args.harvest_min,
-            harvest_max_cores=args.harvest_max,
-            fault_plan=plan,
-        )
-    except ValueError as exc:
-        print(f"bad cluster configuration: {exc}", file=sys.stderr)
-        return 2
+              f"(cooldown {cfg.fault_plan.cooldown_epochs} epoch(s)):")
+        print(cfg.fault_plan.describe())
 
     checkpoint = None
     run_key = None
     if args.checkpoint or args.resume is not None:
-        run_key = cluster_run_key(system, simcfg, cfg, list(BATCH_JOBS))
+        run_key = cluster_run_key(
+            request.cluster_system(), request.sim, cfg, list(BATCH_JOBS)
+        )
         if args.resume is not None and args.resume != run_key:
             print(f"--resume {args.resume} does not match this "
                   f"configuration's run key {run_key}; refusing to mix "
@@ -278,22 +244,16 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     try:
-        result = run_cluster_scale(
-            system,
-            simcfg,
-            cfg,
-            workers=args.workers,
-            cache=cache,
-            task_timeout=args.task_timeout,
+        result, digest = run_job(
+            request,
+            cache,
             progress=lambda msg: print(f"[cluster] {msg}", flush=True),
+            task_timeout=args.task_timeout,
             checkpoint=checkpoint,
         )
     except (SweepError, DeterminismError) as exc:
         print(f"cluster run failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"bad cluster configuration: {exc}", file=sys.stderr)
-        return 2
     print(format_cluster_scale_report(result))
     print(f"\n{cfg.servers * cfg.epochs} server-epoch(s) in "
           f"{result.elapsed_s:.1f}s with {args.workers} worker(s)")
@@ -310,7 +270,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"wrote CSV results to {args.csv}")
     if args.stats_json:
         _write_stats_json(args.stats_json, {
-            "digest": result.digest(),
+            "digest": digest,
             "system": result.system,
             "servers": result.servers,
             "epochs": len(result.epochs),
@@ -332,13 +292,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """SIGKILL-and-resume soak over a fault-plan cluster run."""
-    from repro.cluster_scale import cluster_plan_names
     from repro.cluster_scale.chaos import run_chaos_soak
+    from repro.service.spec import JobValidationError
 
-    if args.plan not in cluster_plan_names():
-        print(f"unknown fault plan {args.plan!r}; choose from "
-              f"{cluster_plan_names()}", file=sys.stderr)
-        return 2
     try:
         record = run_chaos_soak(
             system_name=args.system,
@@ -354,6 +310,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             kill_after_epochs=args.kill_after,
             progress=lambda msg: print(f"[chaos] {msg}", flush=True),
         )
+    except JobValidationError as exc:
+        print(f"chaos: invalid field {exc.field!r}: {exc}", file=sys.stderr)
+        return 2
     except (RuntimeError, ValueError) as exc:
         print(f"chaos soak failed: {exc}", file=sys.stderr)
         return 1
@@ -378,33 +337,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_sweep_table
     from repro.core.export import write_sweep_csv, write_sweep_json
-    from repro.parallel import ResultCache, SweepSpec, parse_seeds, run_sweep
+    from repro.parallel import DeterminismError, ResultCache, SweepError
+    from repro.service.executor import run_job
 
-    systems = all_systems()
-    if args.systems != "all":
-        wanted = [name.strip() for name in args.systems.split(",") if name.strip()]
-        unknown = [name for name in wanted if name not in systems]
-        if unknown:
-            print(f"unknown system(s) {unknown}; choose from {SYSTEM_NAMES}",
-                  file=sys.stderr)
-            return 2
-        systems = {name: systems[name] for name in wanted}
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        print(f"bad --seeds: {exc}", file=sys.stderr)
+    request = _parse_job(args, {
+        "kind": "sweep", "systems": args.systems, "seeds": args.seeds,
+    })
+    if request is None:
         return 2
-
-    from repro.parallel import DeterminismError, SweepError
-
-    spec = SweepSpec(systems=systems, seeds=seeds, sim=_sim_config(args))
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     try:
-        outcome = run_sweep(
-            spec,
-            workers=args.workers,
-            cache=cache,
+        outcome, digest = run_job(
+            request,
+            cache,
             task_timeout=args.task_timeout,
             verify_cached=args.verify_cached,
         )
@@ -412,19 +359,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
 
-    p99_by_system = {name: [] for name in systems}
-    busy_by_system = {name: [] for name in systems}
-    for point, result in zip(spec.points(), outcome.results.values()):
+    p99_by_system = {name: [] for name in request.systems}
+    busy_by_system = {name: [] for name in request.systems}
+    for point, result in zip(request.points(), outcome.results.values()):
         p99_by_system[point.system.name].append(result.avg_p99_ms())
         busy_by_system[point.system.name].append(result.avg_busy_cores)
-    from repro.analysis.report import format_sweep_table
-
     print(format_sweep_table(
-        f"Avg P99 across {len(seeds)} seed(s)", p99_by_system, unit="ms"))
+        f"Avg P99 across {len(request.seeds)} seed(s)", p99_by_system, unit="ms"))
     print()
     print(format_sweep_table(
         "Busy cores (of 36)", busy_by_system, precision=1))
-    print(f"\n{spec.size()} point(s) in {outcome.elapsed_s:.1f}s with "
+    print(f"\n{len(outcome.results)} point(s) in {outcome.elapsed_s:.1f}s with "
           f"{args.workers} worker(s): {outcome.computed} computed, "
           f"{outcome.from_cache} from cache, {outcome.retried} retried")
     if cache is not None:
@@ -439,11 +384,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_sweep_csv(args.csv, outcome.results)
         print(f"wrote CSV results to {args.csv}")
     if args.stats_json:
-        from repro.core.export import sweep_results_digest
-
         _write_stats_json(args.stats_json, {
-            "digest": sweep_results_digest(outcome.results),
-            "points": spec.size(),
+            "digest": digest,
+            "points": len(outcome.results),
             "computed": outcome.computed,
             "from_cache": outcome.from_cache,
             "retried": outcome.retried,
@@ -552,11 +495,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.ioutil import atomic_open
     from repro.telemetry.export import write_perfetto_json, write_timeseries_csv
 
-    kind = next((k for k in SystemKind if k.value == args.system), None)
-    if kind is None:
-        print(f"unknown system {args.system!r}; choose from {SYSTEM_NAMES}",
-              file=sys.stderr)
-        return 2
     simcfg = replace(
         _sim_config(args),
         telemetry=TelemetryConfig(
@@ -565,7 +503,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             probe_interval_us=args.probe_interval_us,
         ),
     )
-    sim = run_server_raw(build_system(kind), simcfg)
+    sim = run_server_raw(build_system(SystemKind(args.system)), simcfg)
 
     vm_names = {vm.vm_id: vm.name for vm in sim.primary_vms}
     for hvm in sim.harvest_vms:
@@ -680,14 +618,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    kind = next((k for k in SystemKind if k.value == args.system), None)
-    if kind is None:
-        print(f"unknown system {args.system!r}; choose from {SYSTEM_NAMES}",
-              file=sys.stderr)
-        return 2
     from repro.core.experiment import run_server_raw
 
-    system = build_system(kind)
+    system = build_system(SystemKind(args.system))
     simcfg = _sim_config(args)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -731,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cl = sub.add_parser(
         "cluster",
-        help="multi-server run; --requests/--routing/--workers engage the "
-             "sharded cluster-scale layer (repro.cluster_scale)",
+        help="sharded multi-server run (repro.cluster_scale): routing, "
+             "epochs, harvest rebalancing, fault plans, checkpoints",
     )
     p_cl.add_argument("--system", default="HardHarvest-Block",
                       choices=SYSTEM_NAMES)
@@ -743,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--workers", type=int, default=1,
                       help="process-pool shards per epoch (1 = serial; "
                            "results are bit-identical either way)")
-    p_cl.add_argument("--routing", default=None,
+    p_cl.add_argument("--routing", default="round-robin",
                       help="round-robin | least-loaded | p2c "
                            "(default round-robin)")
     p_cl.add_argument("--epochs", type=int, default=1,

@@ -20,6 +20,7 @@ record this module emits.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import signal
 import subprocess
@@ -28,63 +29,10 @@ import time
 from typing import Dict, Optional
 
 import repro
-from repro.cluster_scale.resilience import (
-    CheckpointStore,
-    cluster_run_key,
-    get_cluster_plan,
-)
-from repro.cluster_scale.runner import run_cluster_scale
-from repro.cluster_scale.spec import ClusterScaleConfig, RoutingPolicy
-from repro.config import SimulationConfig, SystemKind
-from repro.core.presets import build_system
+from repro.cluster_scale.resilience import CheckpointStore, cluster_run_key
+from repro.service.executor import run_job
+from repro.service.spec import parse_job_request
 from repro.workloads.batch import BATCH_JOBS
-
-
-def _chaos_configs(
-    system_name: str,
-    servers: int,
-    requests: int,
-    epochs: int,
-    epoch_ms: float,
-    routing: str,
-    plan_name: str,
-    seed: int,
-    accesses: int,
-    cooldown: Optional[int] = None,
-):
-    """The (system, sim, cfg) triple for a chaos run.
-
-    Built to coincide *exactly* with what ``python -m repro cluster``
-    derives from the equivalent flags (same warmup rule, same plan
-    expansion), so the in-process runs and the killed subprocess share
-    one checkpoint run key.
-    """
-    import dataclasses
-
-    kind = next((k for k in SystemKind if k.value == system_name), None)
-    if kind is None:
-        raise ValueError(f"unknown system {system_name!r}")
-    system = build_system(kind)
-    sim = SimulationConfig(
-        horizon_ms=epoch_ms,
-        warmup_ms=min(epoch_ms / 5, 100.0),
-        seed=seed,
-        accesses_per_segment=accesses,
-        servers_to_simulate=servers,
-    )
-    plan = get_cluster_plan(plan_name, servers, epochs)
-    if cooldown is not None:
-        plan = dataclasses.replace(plan, cooldown_epochs=cooldown)
-    cfg = ClusterScaleConfig(
-        servers=servers,
-        requests=requests,
-        epochs=epochs,
-        epoch_ms=epoch_ms,
-        warmup_ms=sim.warmup_ms,
-        routing=RoutingPolicy(routing),
-        fault_plan=plan,
-    )
-    return system, sim, cfg
 
 
 @contextlib.contextmanager
@@ -202,17 +150,25 @@ def _run_soak(
             f"kill_after_epochs must be in [1, {epochs - 1}], got "
             f"{kill_after_epochs}"
         )
-    system, sim, cfg = _chaos_configs(
-        system_name, servers, requests, epochs, epoch_ms, routing,
-        plan_name, seed, accesses,
+    # The job body the victim's command line below parses to, so the
+    # in-process runs and the victim share one checkpoint run key.
+    request = dataclasses.replace(parse_job_request({
+        "kind": "cluster",
+        "system": system_name,
+        "cluster": {"servers": servers, "requests": requests,
+                    "epochs": epochs, "routing": routing},
+        "fault_plan": plan_name,
+        "simulation": {"horizon_ms": epoch_ms, "seed": seed,
+                       "accesses_per_segment": accesses},
+    }), workers=workers)
+    run_key = cluster_run_key(
+        request.cluster_system(), request.sim, request.cluster, list(BATCH_JOBS)
     )
-    run_key = cluster_run_key(system, sim, cfg, list(BATCH_JOBS))
 
     say(f"uninterrupted reference run ({epochs} epochs, plan {plan_name})")
     t0 = time.monotonic()
-    reference = run_cluster_scale(system, sim, cfg, workers=workers)
+    _, reference_digest = run_job(request)
     reference_wall = time.monotonic() - t0
-    reference_digest = reference.digest()
 
     store = CheckpointStore(root=checkpoint_root, run_key=run_key)
 
@@ -272,13 +228,11 @@ def _run_soak(
 
     say("resuming from surviving checkpoints")
     t0 = time.monotonic()
-    resumed = run_cluster_scale(
-        system, sim, cfg, workers=workers,
+    resumed, resumed_digest = run_job(
+        request, progress=say,
         checkpoint=CheckpointStore(root=checkpoint_root, run_key=run_key),
-        progress=say,
     )
     resume_wall = time.monotonic() - t0
-    resumed_digest = resumed.digest()
 
     curve = [
         {

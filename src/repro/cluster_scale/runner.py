@@ -25,10 +25,10 @@ fault schedules *inside* each point's SimulationConfig (so the result
 cache keys change with the plan), and health feedback is derived from the
 merged epoch results at the barrier, never from worker-local state.
 
-The epoch-0 degenerate case (one epoch, nominal load, no rebalancing)
-reproduces the legacy :func:`repro.core.experiment.run_cluster` results
-exactly: epoch seed 0 is the identity and the per-server points carry the
-same payloads, so even the result cache keys coincide.
+The degenerate case (one epoch, nominal load, no rebalancing) is the
+paper's independent-server cluster: epoch seed 0 is the identity, so
+server ``i`` runs exactly ``run_server(system, sim, BATCH_JOBS[i % 8],
+server_index=i)``.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ def _epoch_points(
 ):
     """One fully-specified SweepPoint per server for this epoch.
 
-    Mirrors :func:`repro.core.experiment._cluster_points` semantics
-    (batch job ``i mod len(jobs)``, ``server_index=i``) so the degenerate
-    configuration produces byte-identical payloads to the legacy path.
+    Server ``i`` runs batch job ``i mod len(jobs)`` with
+    ``server_index=i``, the paper's one-batch-application-per-server
+    cluster.
 
     Fault plans materialize here: the plan's events for (epoch, server)
     become that point's ``SimulationConfig.faults`` and the plan's client

@@ -7,28 +7,27 @@ This is the public entry point a downstream user touches::
                         SimulationConfig(requests_per_service=1000))
     print(result.avg_p99_ms())
 
-``run_cluster`` reproduces the paper's 8-server setup: servers are
-independent (microservices never talk across servers, Section 5), each
-hosting all eight Primary services and one Harvest VM with a *different*
-batch application.
+``run_systems`` accepts ``workers=`` and ``cache=``: with either set, the
+runs are routed through :mod:`repro.parallel` — fanned out over a process
+pool and/or served from the content-addressed result cache — with
+bit-identical results to the serial path (the simulator is deterministic
+and systems are independent).
 
-Both ``run_systems`` and ``run_cluster`` accept ``workers=`` and
-``cache=``: with either set, the runs are routed through
-:mod:`repro.parallel` — fanned out over a process pool and/or served from
-the content-addressed result cache — with bit-identical results to the
-serial path (the simulator is deterministic and servers/systems are
-independent).
+The paper's 8-server setup is
+:func:`repro.cluster_scale.runner.run_cluster_scale` with
+``ClusterScaleConfig(servers=8, epochs=1)``: server ``i`` runs
+``run_server(system, sim, BATCH_JOBS[i % 8], server_index=i)``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cluster.server import ServerSimulation
 from repro.config import SimulationConfig, SystemConfig
-from repro.core.metrics import ClusterResult, ServerResult
+from repro.core.metrics import ServerResult
 from repro.sim.units import SEC
-from repro.workloads.batch import BATCH_JOBS, BatchJobProfile
+from repro.workloads.batch import BatchJobProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.cache import ResultCache
@@ -107,71 +106,6 @@ def run_server_raw(
     sim = ServerSimulation(system, simcfg or SimulationConfig(), batch_job, server_index)
     sim.run()
     return sim
-
-
-def _cluster_points(
-    system: SystemConfig,
-    simcfg: SimulationConfig,
-    jobs: Sequence[BatchJobProfile],
-):
-    """One :class:`~repro.parallel.sweep.SweepPoint` per simulated server.
-
-    The single source of truth for the cluster fan-out: the serial loop,
-    the process pool, and the result cache all run exactly these points,
-    which is what keeps their results bit-identical.
-    """
-    from repro.parallel.sweep import SweepPoint
-
-    return [
-        SweepPoint(
-            label=f"server={i}",
-            system=system,
-            sim=simcfg,
-            batch_job=jobs[i % len(jobs)],
-            server_index=i,
-        )
-        for i in range(simcfg.servers_to_simulate)
-    ]
-
-
-def run_cluster(
-    system: SystemConfig,
-    simcfg: Optional[SimulationConfig] = None,
-    batch_jobs: Optional[Sequence[BatchJobProfile]] = None,
-    parallel: bool = False,
-    workers: Optional[int] = None,
-    cache: Optional["ResultCache"] = None,
-) -> ClusterResult:
-    """Simulate ``simcfg.servers_to_simulate`` independent servers.
-
-    Server ``i`` runs batch job ``i`` (mod 8), mirroring the paper's
-    one-batch-application-per-server cluster — servers never communicate
-    (Section 5), which is also why the servers can be farmed out to a
-    process pool (exactly as the authors parallelized their SST runs)
-    without changing any result.  ``workers=N`` routes through
-    :func:`repro.parallel.run_sweep` (optionally with a ``cache``);
-    ``parallel=True`` is the legacy spelling of ``workers=8`` (the pool
-    never exceeds the number of servers).
-    """
-    simcfg = simcfg or SimulationConfig()
-    jobs = list(batch_jobs or BATCH_JOBS)
-    points = _cluster_points(system, simcfg, jobs)
-    if parallel and workers is None:
-        workers = 8
-    if workers is not None or cache is not None:
-        from repro.parallel.runner import run_sweep
-
-        outcome = run_sweep(points, workers=workers or 1, cache=cache)
-        return ClusterResult(
-            system=system.name, servers=list(outcome.results.values())
-        )
-    return ClusterResult(
-        system=system.name,
-        servers=[
-            run_server(p.system, p.sim, p.batch_job, server_index=p.server_index)
-            for p in points
-        ],
-    )
 
 
 def run_systems(

@@ -1,8 +1,8 @@
 """Parallel sweep execution with content-addressed result caching.
 
 The fan-out/cache substrate behind ``python -m repro sweep``, the
-``workers=``/``cache=`` paths of :func:`repro.run_systems` and
-:func:`repro.run_cluster`, and the figure benchmarks:
+``workers=``/``cache=`` path of :func:`repro.run_systems`, each epoch of
+:func:`repro.cluster_scale.run_cluster_scale`, and the figure benchmarks:
 
 * :class:`SweepSpec` / :class:`SweepPoint` — declarative (system, seed,
   override) grids, enumerated in deterministic order.

@@ -1,18 +1,35 @@
-"""Job request parsing and validation for the simulation service.
+"""The job spec: one parser for the CLI, the service and the chaos soak.
 
-A job is one of two shapes, mirroring the two heavy CLI paths:
+A job is one of two shapes:
 
 * ``{"kind": "sweep", ...}`` — a (systems x seeds) grid executed through
   :func:`repro.parallel.runner.run_sweep`;
 * ``{"kind": "cluster", ...}`` — a sharded cluster-scale run executed
   through :func:`repro.cluster_scale.runner.run_cluster_scale`.
 
-Parsing is strict: unknown fields, unknown system names, and values that
-fail :class:`~repro.config.SimulationConfig` /
-:class:`~repro.cluster_scale.spec.ClusterScaleConfig` validation raise
-:class:`JobValidationError` carrying the *name of the offending field*,
-which the HTTP layer returns in the 400 body and ``python -m repro run
---config`` prints before exiting 2.
+``python -m repro sweep`` and ``cluster`` build such a body from their
+flags, :func:`repro.cluster_scale.chaos.run_chaos_soak` builds one for its
+runs, and the service takes one as POSTed JSON.  All of them go through
+:func:`parse_job_request`, so one body yields one set of configs, one job
+id and one checkpoint run key whichever front end built it, and
+:func:`repro.service.executor.run_job` runs it.
+
+Parsing is strict:
+
+* top-level keys the job's kind does not have, unknown simulation or
+  cluster fields, and unknown systems, suites, routing policies or fault
+  plans are rejected;
+* every value must match its dataclass annotation: ``true`` is not an
+  integer, an integer is a number (and a plain-form float field stores
+  it as a float, so ``40`` and ``40.0`` give one job id), and ``null``
+  is accepted only for an optional field;
+* values that fail :class:`~repro.config.SimulationConfig` /
+  :class:`~repro.cluster_scale.spec.ClusterScaleConfig` validation, or
+  that do not build a valid system, are rejected.
+
+Each failure raises :class:`JobValidationError` carrying the *name of the
+offending field*, which the HTTP layer returns in the 400 body and the
+CLI prints before exiting 2.
 
 Identity contract
 -----------------
@@ -36,18 +53,28 @@ configs plus batch-job roster (cluster).  The job id is the
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import SimulationConfig, TelemetryConfig
+from repro.config import SimulationConfig, SystemKind, TelemetryConfig
 
-#: Fields a plain (non-``__type__``) simulation object may set.
-SIM_FIELDS = {f.name: f for f in dataclasses.fields(SimulationConfig)}
+SYSTEM_NAMES = [k.value for k in SystemKind]
 
-JOB_KINDS = ("sweep", "cluster")
+#: The top-level keys each kind of job body may carry.
+BODY_KEYS = {
+    "sweep": {"kind", "workers", "systems", "seeds", "simulation"},
+    "cluster": {"kind", "workers", "system", "cluster", "simulation",
+                "fault_plan", "harvest_base", "cooldown"},
+}
+JOB_KINDS = tuple(BODY_KEYS)
 
 #: Upper bound on per-job process-pool workers a client may request.
 MAX_JOB_WORKERS = 32
+
+_SCALARS = {int: "an integer", float: "a number", bool: "true or false",
+            str: "a string"}
 
 
 class JobValidationError(ValueError):
@@ -71,15 +98,56 @@ def _blame_field(message: str, candidates) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _hints(cls) -> Dict[str, Any]:
+    return typing.get_type_hints(cls)
+
+
+def _typed(cls, values: Dict[str, Any], cast: bool = True) -> Dict[str, Any]:
+    """``values`` checked against ``cls``'s fields and their annotations
+    (the type rule in the module doc).  With ``cast``, an integer given
+    for a float field comes back as a float."""
+    hints = _hints(cls)
+    out = {}
+    for name, value in values.items():
+        hint = hints.get(name)
+        if hint is None:
+            raise JobValidationError(
+                name, f"unknown {cls.__name__} field {name!r}; "
+                      f"valid fields: {sorted(hints)}"
+            )
+        optional = type(None) in typing.get_args(hint)
+        if optional:
+            if value is None:
+                out[name] = None
+                continue
+            hint = typing.get_args(hint)[0]
+        if hint is float and type(value) is int:
+            value = float(value) if cast else value
+        elif not (type(value) is hint if hint in _SCALARS
+                  else isinstance(value, hint)):
+            expected = _SCALARS.get(hint, hint.__name__)
+            raise JobValidationError(
+                name, f"{name} must be {expected}"
+                      + (" or null" if optional else "") + f", got {value!r}"
+            )
+        out[name] = value
+    return out
+
+
 def validate_simulation(sim: SimulationConfig) -> None:
     """Field-level sanity checks the frozen dataclass does not enforce.
 
     Raises :class:`JobValidationError` naming the offending field — the
     friendly alternative to a traceback from deep inside the arrival
-    generator.
+    generator.  Values are taken as they are: an integer in a float field
+    is accepted but not cast.
     """
-    if not isinstance(sim.seed, int) or isinstance(sim.seed, bool):
-        raise JobValidationError("seed", f"seed must be an integer, got {sim.seed!r}")
+    from repro.workloads.suites import SUITES
+
+    fields = _hints(SimulationConfig)
+    _typed(SimulationConfig, {name: getattr(sim, name) for name in fields},
+           cast=False)
     if sim.seed < 0:
         raise JobValidationError("seed", f"seed must be non-negative, got {sim.seed}")
     if sim.horizon_ms <= 0:
@@ -116,30 +184,20 @@ def validate_simulation(sim: SimulationConfig) -> None:
             "trace_interval_ms",
             f"trace_interval_ms must be positive, got {sim.trace_interval_ms}",
         )
-
-
-def _coerce_numeric(fields: Dict[str, Any], dataclass_fields) -> None:
-    """JSON has one number type; the configs have two.  Cast ints posted
-    for float-typed fields so the rebuilt config serializes exactly as
-    the CLI-built one (``40`` vs ``40.0`` must not split cache keys)."""
-    for name, value in list(fields.items()):
-        f = dataclass_fields.get(name)
-        if f is None:
-            continue
-        if f.type in ("float", float) and isinstance(value, int) and not isinstance(value, bool):
-            fields[name] = float(value)
+    if sim.suite not in SUITES:
+        raise JobValidationError(
+            "suite", f"unknown suite {sim.suite!r}; choose from {sorted(SUITES)}"
+        )
 
 
 def build_simulation(data: Optional[Dict[str, Any]],
                      servers: int = 1) -> SimulationConfig:
-    """Build a :class:`SimulationConfig` from a POSTed object.
+    """Build a :class:`SimulationConfig` from a job body's object.
 
     Accepts either the full serialized form (``{"__type__":
     "SimulationConfig", ...}`` as written by ``--dump-config``) or a
     plain field dict.  The plain form applies the CLI's warmup rule when
-    ``warmup_ms`` is omitted (``min(horizon_ms / 5, 100)``), so a job
-    posting only ``horizon_ms`` digests identically to the equivalent
-    ``python -m repro`` invocation.
+    ``warmup_ms`` is omitted (``min(horizon_ms / 5, 100)``).
     """
     from repro.core.serialize import from_dict
 
@@ -154,20 +212,14 @@ def build_simulation(data: Optional[Dict[str, Any]],
             sim = from_dict(data)
         except (ValueError, KeyError, TypeError) as exc:
             raise JobValidationError(
-                _blame_field(str(exc), SIM_FIELDS), f"bad simulation config: {exc}"
+                _blame_field(str(exc), _hints(SimulationConfig)),
+                f"bad simulation config: {exc}",
             ) from exc
         if not isinstance(sim, SimulationConfig):
             raise JobValidationError(
                 "simulation", "serialized simulation is not a SimulationConfig"
             )
     else:
-        unknown = sorted(set(data) - set(SIM_FIELDS))
-        if unknown:
-            raise JobValidationError(
-                unknown[0],
-                f"unknown SimulationConfig field(s) {unknown}; "
-                f"valid fields: {sorted(SIM_FIELDS)}",
-            )
         fields = dict(data)
         for key in ("faults", "client", "telemetry"):
             value = fields.get(key)
@@ -178,17 +230,11 @@ def build_simulation(data: Optional[Dict[str, Any]],
                     except (ValueError, KeyError, TypeError) as exc:
                         raise JobValidationError(key, f"bad {key}: {exc}") from exc
                 elif key == "telemetry":
-                    tele_fields = {
-                        f.name for f in dataclasses.fields(TelemetryConfig)
-                    }
-                    bad = sorted(set(value) - tele_fields)
-                    if bad:
-                        raise JobValidationError(
-                            bad[0], f"unknown TelemetryConfig field(s) {bad}"
-                        )
+                    # Not cast: telemetry objects hash as they were posted.
+                    value = _typed(TelemetryConfig, value, cast=False)
                     try:
                         fields[key] = TelemetryConfig(**value)
-                    except (ValueError, TypeError) as exc:
+                    except ValueError as exc:
                         raise JobValidationError("telemetry", str(exc)) from exc
                 else:
                     raise JobValidationError(
@@ -196,17 +242,12 @@ def build_simulation(data: Optional[Dict[str, Any]],
                         f"{key} must use the serialized form "
                         f'({{"__type__": ...}}) or be null',
                     )
-        _coerce_numeric(fields, SIM_FIELDS)
+        fields = _typed(SimulationConfig, fields)
         if "warmup_ms" not in fields:
             horizon = fields.get("horizon_ms", SimulationConfig().horizon_ms)
-            fields["warmup_ms"] = min(float(horizon) / 5, 100.0)
+            fields["warmup_ms"] = min(horizon / 5, 100.0)
         fields.setdefault("servers_to_simulate", servers)
-        try:
-            sim = SimulationConfig(**fields)
-        except (TypeError, ValueError) as exc:
-            raise JobValidationError(
-                _blame_field(str(exc), SIM_FIELDS), f"bad simulation config: {exc}"
-            ) from exc
+        sim = SimulationConfig(**fields)
     validate_simulation(sim)
     return sim
 
@@ -215,31 +256,37 @@ def _parse_seeds_value(value: Any) -> Tuple[int, ...]:
     from repro.parallel.sweep import parse_seeds
 
     if value is None:
-        return (SimulationConfig().seed,)
-    if isinstance(value, str):
+        seeds = (SimulationConfig().seed,)
+    elif isinstance(value, str):
         try:
-            return parse_seeds(value)
+            seeds = parse_seeds(value)
         except ValueError as exc:
             raise JobValidationError("seeds", f"bad seeds: {exc}") from exc
-    if isinstance(value, int) and not isinstance(value, bool):
-        return (value,)
-    if isinstance(value, list):
+    elif type(value) is int:
+        seeds = (value,)
+    elif isinstance(value, list):
         if not value:
             raise JobValidationError("seeds", "seeds list is empty")
-        bad = [s for s in value if not isinstance(s, int) or isinstance(s, bool)]
+        bad = [s for s in value if type(s) is not int]
         if bad:
             raise JobValidationError("seeds", f"non-integer seed(s): {bad}")
-        return tuple(value)
-    raise JobValidationError(
-        "seeds", f'seeds must be a string ("0..7"), integer, or list, '
-                 f"got {type(value).__name__}"
-    )
+        seeds = tuple(value)
+    else:
+        raise JobValidationError(
+            "seeds", f'seeds must be a string ("0..7"), integer, or list, '
+                     f"got {type(value).__name__}"
+        )
+    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise JobValidationError(
+            "seeds", f"seeds must be distinct and non-negative, got {list(seeds)}"
+        )
+    return seeds
 
 
 def _parse_workers(value: Any) -> int:
     if value is None:
         return 1
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise JobValidationError(
             "workers", f"workers must be an integer, got {value!r}"
         )
@@ -252,7 +299,7 @@ def _parse_workers(value: Any) -> int:
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One validated, fully-resolved job submission."""
+    """One validated, fully-resolved job: what every front end runs."""
 
     kind: str
     workers: int
@@ -265,6 +312,12 @@ class JobRequest:
     cluster: Optional[Any] = None  # ClusterScaleConfig; Any avoids import cycle
     #: Canned fault plan name a cluster job asked for (None = nominal).
     fault_plan: Optional[str] = None
+    #: Cluster: starting harvest-VM base cores per server (None = the
+    #: system preset's value).
+    harvest_base: Optional[int] = None
+    #: Cluster: epochs a crashed server stays out of routing (None = the
+    #: fault plan's own setting).
+    cooldown: Optional[int] = None
 
     # ------------------------------------------------------------------
     def points(self) -> List[Any]:
@@ -280,11 +333,14 @@ class JobRequest:
 
     def cluster_system(self):
         """Cluster only: the resolved :class:`SystemConfig`."""
-        from repro.config import SystemKind
         from repro.core.presets import build_system
 
-        kind = next(k for k in SystemKind if k.value == self.system)
-        return build_system(kind)
+        system = build_system(SystemKind(self.system))
+        if self.harvest_base is None:
+            return system
+        return dataclasses.replace(system, cluster=dataclasses.replace(
+            system.cluster, harvest_vm_base_cores=self.harvest_base
+        ))
 
     # ------------------------------------------------------------------
     def identity(self) -> Dict[str, Any]:
@@ -332,6 +388,8 @@ class JobRequest:
             cluster.pop("fault_plan", None)
             out["cluster"] = cluster
             out["fault_plan"] = self.fault_plan
+            out["harvest_base"] = self.harvest_base
+            out["cooldown"] = self.cooldown
         return out
 
 
@@ -344,12 +402,14 @@ def _parse_sweep(body: Dict[str, Any], workers: int) -> JobRequest:
         names = list(presets)
     elif isinstance(systems_value, str):
         names = [n.strip() for n in systems_value.split(",") if n.strip()]
-    elif isinstance(systems_value, list):
+    elif isinstance(systems_value, list) and all(
+        isinstance(n, str) for n in systems_value
+    ):
         names = list(systems_value)
     else:
         raise JobValidationError(
-            "systems", f'systems must be "all", a comma string, or a list, '
-                       f"got {type(systems_value).__name__}"
+            "systems", f'systems must be "all", a comma string, or a list '
+                       f"of names, got {systems_value!r}"
         )
     unknown = [n for n in names if n not in presets]
     if unknown:
@@ -368,56 +428,49 @@ def _parse_sweep(body: Dict[str, Any], workers: int) -> JobRequest:
 
 def _parse_cluster(body: Dict[str, Any], workers: int) -> JobRequest:
     from repro.cluster_scale.resilience import cluster_plan_names, get_cluster_plan
+    from repro.cluster_scale.runner import _validate
     from repro.cluster_scale.spec import (
         ROUTING_POLICY_NAMES,
         ClusterScaleConfig,
         RoutingPolicy,
     )
-    from repro.config import SystemKind
 
     system_name = body.get("system", "HardHarvest-Block")
-    if system_name not in [k.value for k in SystemKind]:
+    if system_name not in SYSTEM_NAMES:
         raise JobValidationError(
-            "system", f"unknown system {system_name!r}; choose from "
-                      f"{[k.value for k in SystemKind]}"
+            "system", f"unknown system {system_name!r}; choose from {SYSTEM_NAMES}"
         )
     cluster_data = body.get("cluster") or {}
     if not isinstance(cluster_data, dict):
         raise JobValidationError(
             "cluster", f"cluster must be an object, got {type(cluster_data).__name__}"
         )
-    cluster_fields = {f.name: f for f in dataclasses.fields(ClusterScaleConfig)}
-    unknown = sorted(set(cluster_data) - set(cluster_fields) - {"fault_plan"})
-    if unknown:
-        raise JobValidationError(
-            unknown[0],
-            f"unknown ClusterScaleConfig field(s) {unknown}; "
-            f"valid fields: {sorted(cluster_fields)}",
-        )
     fields = {k: v for k, v in cluster_data.items() if k != "fault_plan"}
-    _coerce_numeric(fields, cluster_fields)
-    routing = fields.get("routing")
-    if routing is not None:
-        if routing not in ROUTING_POLICY_NAMES:
+    if "routing" in fields:
+        if fields["routing"] not in ROUTING_POLICY_NAMES:
             raise JobValidationError(
-                "routing", f"unknown routing policy {routing!r}; choose from "
-                           f"{list(ROUTING_POLICY_NAMES)}"
+                "routing", f"unknown routing policy {fields['routing']!r}; "
+                           f"choose from {list(ROUTING_POLICY_NAMES)}"
             )
-        fields["routing"] = RoutingPolicy(routing)
+        fields["routing"] = RoutingPolicy(fields["routing"])
+    fields = _typed(ClusterScaleConfig, fields)
+    extras = _typed(JobRequest, {
+        "fault_plan": body.get("fault_plan", cluster_data.get("fault_plan")),
+        "harvest_base": body.get("harvest_base"),
+        "cooldown": body.get("cooldown"),
+    })
 
     servers = fields.get("servers", ClusterScaleConfig().servers)
+    if servers <= 0:
+        raise JobValidationError("servers", f"servers must be positive, got {servers}")
     sim = build_simulation(body.get("simulation"), servers=servers)
     fields.setdefault("epoch_ms", sim.horizon_ms)
     fields.setdefault("warmup_ms", sim.warmup_ms)
 
-    plan_name = body.get("fault_plan", cluster_data.get("fault_plan"))
+    plan_name, cooldown = extras["fault_plan"], extras["cooldown"]
     if plan_name is not None:
-        if not isinstance(plan_name, str):
-            raise JobValidationError(
-                "fault_plan", "fault_plan must be a canned plan name"
-            )
         try:
-            fields["fault_plan"] = get_cluster_plan(
+            plan = get_cluster_plan(
                 plan_name, servers, fields.get("epochs", ClusterScaleConfig().epochs)
             )
         except KeyError:
@@ -425,28 +478,46 @@ def _parse_cluster(body: Dict[str, Any], workers: int) -> JobRequest:
                 "fault_plan", f"unknown fault plan {plan_name!r}; choose from "
                               f"{cluster_plan_names()}"
             ) from None
+        if cooldown is not None:
+            try:
+                plan = dataclasses.replace(plan, cooldown_epochs=cooldown)
+            except ValueError as exc:
+                raise JobValidationError("cooldown", str(exc)) from exc
+        fields["fault_plan"] = plan
+    elif cooldown is not None:
+        raise JobValidationError("cooldown", "cooldown needs a fault_plan")
     try:
         cfg = ClusterScaleConfig(**fields)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise JobValidationError(
-            _blame_field(str(exc), cluster_fields), f"bad cluster config: {exc}"
+            _blame_field(str(exc), _hints(ClusterScaleConfig)),
+            f"bad cluster config: {exc}",
         ) from exc
     request = JobRequest(
         kind="cluster", workers=workers, sim=sim,
-        system=system_name, cluster=cfg, fault_plan=plan_name,
+        system=system_name, cluster=cfg, **extras,
     )
-    # Core-budget check the runner would otherwise raise mid-job.
-    from repro.cluster_scale.runner import _validate
-
+    harvest_base = request.harvest_base
+    if harvest_base is not None and harvest_base <= 0:
+        raise JobValidationError(
+            "harvest_base", f"harvest_base must be positive, got {harvest_base}"
+        )
     try:
-        _validate(request.cluster_system(), cfg)
+        system = request.cluster_system()
+    except ValueError as exc:
+        raise JobValidationError(
+            "harvest_base", f"harvest_base={harvest_base}: {exc}"
+        ) from exc
+    # Core-budget check the runner would otherwise raise mid-job.
+    try:
+        _validate(system, cfg)
     except ValueError as exc:
         raise JobValidationError("harvest_max_cores", str(exc)) from exc
     return request
 
 
 def parse_job_request(body: Any) -> JobRequest:
-    """Parse and validate one POSTed job body; raises
+    """Parse and validate one job body; raises
     :class:`JobValidationError` with the offending field named."""
     if not isinstance(body, dict):
         raise JobValidationError(
@@ -456,6 +527,12 @@ def parse_job_request(body: Any) -> JobRequest:
     if kind not in JOB_KINDS:
         raise JobValidationError(
             "kind", f"kind must be one of {list(JOB_KINDS)}, got {kind!r}"
+        )
+    unknown = sorted(set(body) - BODY_KEYS[kind])
+    if unknown:
+        raise JobValidationError(
+            unknown[0], f"unknown {kind} job field(s) {unknown}; "
+                        f"valid fields: {sorted(BODY_KEYS[kind])}"
         )
     workers = _parse_workers(body.get("workers"))
     if kind == "sweep":

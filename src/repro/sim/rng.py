@@ -49,9 +49,9 @@ def derive_server_seed(root_seed: int, server_index: int) -> int:
 def derive_epoch_seed(root_seed: int, epoch: int) -> int:
     """Root seed for one epoch of a cluster-scale run.
 
-    Epoch 0 is the *identity* (a one-epoch cluster-scale run reproduces
-    the legacy :func:`repro.core.experiment.run_cluster` results
-    bit-for-bit).  Later epochs re-key through
+    Epoch 0 is the *identity* (server ``i`` of a one-epoch nominal
+    cluster-scale run is bit-for-bit ``run_server(system, sim,
+    BATCH_JOBS[i % 8], server_index=i)``).  Later epochs re-key through
     :class:`numpy.random.SeedSequence` so each epoch draws fresh workload
     randomness that is still a pure function of ``(root seed, epoch)`` —
     independent of worker count, shard layout, and wall clock.

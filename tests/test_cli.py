@@ -21,13 +21,38 @@ def test_run_command_fast(capsys):
     assert "busy cores" in out
 
 
-def test_cluster_command_fast(capsys):
+def test_cluster_command_fast(capsys, tmp_path):
     rc = main(["cluster", "--system", "NoHarvest", "--servers", "2",
-               "--horizon-ms", "60", "--accesses", "8"])
+               "--horizon-ms", "60", "--accesses", "8",
+               "--cache-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "across 2 servers" in out
-    assert "cluster avg P99" in out
+    assert "NoHarvest across 2 server(s), 1 epoch(s)" in out
+    assert "P99" in out and "digest:" in out
+    assert "0 hit(s), 2 miss(es)" in out
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--epochs", "0"], "epochs"),
+    (["--harvest-max", "40"], "harvest_max_cores"),
+    (["--harvest-base", "40"], "harvest_base"),
+    (["--harvest-base", "0"], "harvest_base"),
+    (["--servers", "0"], "servers"),
+    (["--cooldown", "2"], "cooldown"),
+])
+def test_cluster_bad_flag_exits_2_naming_the_field(flags, field, capsys,
+                                                   monkeypatch):
+    """Checked before any point runs, at any worker count."""
+    import repro.parallel.runner
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(repro.parallel.runner, "run_sweep", no_runs)
+    rc = main(["cluster", "--servers", "2", "--workers", "1",
+               "--horizon-ms", "10", "--accesses", "2", "--no-cache", *flags])
+    assert rc == 2
+    assert f"invalid field {field!r}" in capsys.readouterr().err
 
 
 def test_run_command_missing_config_exits_2(capsys, tmp_path):

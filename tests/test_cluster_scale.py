@@ -3,8 +3,8 @@
 The headline contract under test: a cluster-scale run is **bit-identical
 regardless of worker count** — same digest at ``workers=1`` and
 ``workers=k`` for any seed, routing policy, or shard layout — and the
-degenerate configuration (one epoch, nominal load) reproduces the legacy
-``run_cluster`` results exactly.
+degenerate configuration (one epoch, nominal load) reproduces the
+paper's independent servers, ``run_server`` by ``run_server``, exactly.
 """
 
 import json
@@ -24,14 +24,16 @@ from repro.cluster_scale import (
     service_mix,
 )
 from repro.config import SimulationConfig
-from repro.core.experiment import run_cluster
+from repro.core.experiment import run_server
 from repro.core.export import (
     server_result_to_dict,
     write_cluster_scale_csv,
     write_cluster_scale_json,
 )
 from repro.core.presets import hardharvest_block, noharvest
+from repro.parallel import ResultCache, SweepPoint
 from repro.sim.rng import derive_epoch_seed, derive_server_seed
+from repro.workloads.batch import BATCH_JOBS
 from repro.workloads.suites import get_suite
 
 FAST = SimulationConfig(accesses_per_segment=2)
@@ -82,25 +84,33 @@ def test_uneven_shards_bit_identical():
     assert d1 == d2 == d3
 
 
-def test_degenerate_matches_legacy_run_cluster():
-    # One epoch, nominal load, no rebalancing possible: byte-identical to
-    # the legacy run_cluster path, server by server.
+def test_degenerate_matches_legacy_run_cluster(tmp_path):
+    # One epoch, nominal load, no rebalancing possible: byte-identical,
+    # server by server and cache key by cache key, to what the removed
+    # run_cluster ran — run_server(system, sim, BATCH_JOBS[i % 8],
+    # server_index=i) for each server i.
     sim = SimulationConfig(
         horizon_ms=12.0, warmup_ms=3.0, accesses_per_segment=2, seed=5,
         servers_to_simulate=3,
     )
     system = noharvest()
-    legacy = run_cluster(system, sim)
+    cache = ResultCache(root=str(tmp_path))
     scale = run_cluster_scale(
         system,
         sim,
         ClusterScaleConfig(servers=3, epochs=1, epoch_ms=12.0, warmup_ms=3.0),
+        cache=cache,
     )
     assert len(scale.epochs) == 1
     servers = scale.epochs[0].cluster.servers
-    assert len(servers) == len(legacy.servers)
-    for ours, theirs in zip(servers, legacy.servers):
+    assert len(servers) == 3
+    for i, ours in enumerate(servers):
+        job = BATCH_JOBS[i % len(BATCH_JOBS)]
+        theirs = run_server(system, sim, job, server_index=i)
         assert server_result_to_dict(ours) == server_result_to_dict(theirs)
+        point = SweepPoint(label=f"server={i}", system=system, sim=sim,
+                           batch_job=job, server_index=i)
+        assert cache.get(cache.key(point.payload())) is not None
 
 
 def test_seed_changes_digest():
@@ -347,10 +357,27 @@ def test_cli_cluster_scale_stats_json(capsys, tmp_path):
     assert stats["requests_routed"] == 600
 
 
-def test_cli_cluster_legacy_path_unchanged(capsys):
-    # No scale flags: the original single-shot cluster output.
-    rc = main(["cluster", "--system", "NoHarvest", "--servers", "2",
-               "--horizon-ms", "60", "--accesses", "8"])
-    assert rc == 0
+def test_cli_cluster_without_scale_flags_runs_one_epoch(capsys, tmp_path):
+    # No scale flags: still run_cluster_scale (one nominal epoch), through
+    # the result cache like any other cluster run.
+    stats_path = tmp_path / "stats.json"
+    argv = ["cluster", "--system", "NoHarvest", "--servers", "2",
+            "--horizon-ms", "20", "--accesses", "2",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--stats-json", str(stats_path)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "across 2 servers" in out
+    assert "NoHarvest across 2 server(s), 1 epoch(s)" in out
+    stats = json.loads(stats_path.read_text())
+    direct = run_cluster_scale(
+        noharvest(),
+        SimulationConfig(horizon_ms=20.0, warmup_ms=4.0,
+                         accesses_per_segment=2, servers_to_simulate=2),
+        ClusterScaleConfig(servers=2, epochs=1, epoch_ms=20.0, warmup_ms=4.0),
+    )
+    assert stats["digest"] == direct.digest()
+    assert stats["cache"]["misses"] == 2
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(stats_path.read_text())["cache"]["hit_rate"] == 1.0

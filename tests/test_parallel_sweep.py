@@ -22,8 +22,9 @@ import pickle
 
 import pytest
 
+from repro.cluster_scale import ClusterScaleConfig, run_cluster_scale
 from repro.config import SimulationConfig, SystemKind
-from repro.core.experiment import run_cluster, run_systems
+from repro.core.experiment import run_systems
 from repro.core.export import server_result_to_dict
 from repro.core.presets import all_systems, build_system
 from repro.parallel import (
@@ -396,7 +397,7 @@ def test_broken_pool_is_rebuilt_and_sweep_completes(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Wiring: run_systems / run_cluster workers= / cache= paths
+# Wiring: run_systems / run_cluster_scale workers= / cache= paths
 # ---------------------------------------------------------------------------
 def test_run_systems_workers_path_matches_serial(tmp_path):
     systems = dict(list(all_systems().items())[:2])
@@ -408,16 +409,17 @@ def test_run_systems_workers_path_matches_serial(tmp_path):
     assert fingerprints(fanned) == fingerprints(serial)
 
 
-def test_run_cluster_workers_path_matches_serial(tmp_path):
+def test_run_cluster_scale_workers_path_matches_serial(tmp_path):
     system = build_system(SystemKind.NOHARVEST)
     simcfg = SimulationConfig(
         horizon_ms=12.0, warmup_ms=2.0, accesses_per_segment=3,
         servers_to_simulate=2,
     )
-    serial = run_cluster(system, simcfg)
-    fanned = run_cluster(
-        system, simcfg, workers=2, cache=ResultCache(root=str(tmp_path))
-    )
+    cfg = ClusterScaleConfig(servers=2, epochs=1, epoch_ms=12.0, warmup_ms=2.0)
+    serial = run_cluster_scale(system, simcfg, cfg).epochs[0].cluster
+    fanned = run_cluster_scale(
+        system, simcfg, cfg, workers=2, cache=ResultCache(root=str(tmp_path))
+    ).epochs[0].cluster
     assert [s.batch_job for s in fanned.servers] == [
         s.batch_job for s in serial.servers
     ]

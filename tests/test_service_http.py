@@ -87,6 +87,18 @@ def test_validation_error_names_field(client):
     assert "horizon_ms" in excinfo.value.body["error"]
 
 
+@pytest.mark.parametrize("body,field", [
+    ({"kind": "cluster", "cluster": {"servers": "4"}}, "servers"),
+    ({"kind": "cluster", "cluster": {"servers": 2}, "harvest_base": 40},
+     "harvest_base"),
+])
+def test_wrong_typed_or_invalid_field_is_400(client, body, field):
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(body)
+    assert excinfo.value.status == 400
+    assert excinfo.value.body["field"] == field
+
+
 def test_method_not_allowed(client):
     status, _ = client._request("GET", "/jobs")
     assert status == 405
