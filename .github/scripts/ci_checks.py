@@ -167,7 +167,6 @@ _REQUIRED_METRICS = (
     "repro_service_jobs_evicted_total",
     "repro_cache_hits_total",
     "repro_cache_misses_total",
-    "repro_cache_memory_hits_total",
 )
 
 

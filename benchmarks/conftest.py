@@ -11,9 +11,10 @@ system — large enough for stable P99s at the paper's request rates, small
 enough that the full suite finishes in minutes. Set ``REPRO_BENCH_SCALE``
 (e.g. ``2.0``) to lengthen every run for tighter percentiles.
 
-Parallelism/caching: multi-system fixtures go through the
-:mod:`repro.parallel` runner.  ``REPRO_BENCH_WORKERS=N`` fans the systems
-out over N processes (results are bit-identical to serial), and
+Parallelism/caching: multi-system fixtures go through
+:func:`repro.parallel.run_sweep` (via ``run_systems``), in-process by
+default.  ``REPRO_BENCH_WORKERS=N`` fans the systems out over N processes
+(results are bit-identical at any worker count), and
 ``REPRO_BENCH_CACHE=<dir>`` serves unchanged runs from the
 content-addressed result cache, making benchmark re-runs near-instant.
 """
@@ -35,14 +36,9 @@ _CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE", "")
 
 
 def bench_run_systems(systems, simcfg):
-    """Run a dict of systems through the parallel runner.
-
-    Honors ``REPRO_BENCH_WORKERS``/``REPRO_BENCH_CACHE``; with neither set
-    it degrades to the plain serial path (identical results either way).
-    """
+    """Run a dict of systems through the parallel runner, honoring
+    ``REPRO_BENCH_WORKERS``/``REPRO_BENCH_CACHE``."""
     cache = ResultCache(root=_CACHE_DIR) if _CACHE_DIR else None
-    if _WORKERS <= 1 and cache is None:
-        return run_systems(systems, simcfg)
     return run_systems(systems, simcfg, workers=_WORKERS, cache=cache)
 
 BENCH_SIM = SimulationConfig(

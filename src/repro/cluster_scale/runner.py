@@ -53,7 +53,7 @@ from repro.cluster_scale.spec import ClusterScaleConfig
 from repro.config import SimulationConfig, SystemConfig
 from repro.core.metrics import ClusterResult
 from repro.sim.rng import derive_epoch_seed
-from repro.workloads.batch import BATCH_JOBS, BatchJobProfile
+from repro.workloads.batch import BATCH_JOBS
 from repro.workloads.suites import get_suite
 
 
@@ -75,11 +75,10 @@ def _epoch_points(
     epoch: int,
     alloc: Sequence[int],
     load_scale: Sequence[Optional[float]],
-    jobs: Sequence[BatchJobProfile],
 ):
     """One fully-specified SweepPoint per server for this epoch.
 
-    Server ``i`` runs batch job ``i mod len(jobs)`` with
+    Server ``i`` runs batch job ``BATCH_JOBS[i % 8]`` with
     ``server_index=i``, the paper's one-batch-application-per-server
     cluster.
 
@@ -123,7 +122,7 @@ def _epoch_points(
                 label=f"epoch={epoch}/server={i}",
                 system=point_system,
                 sim=point_sim,
-                batch_job=jobs[i % len(jobs)],
+                batch_job=BATCH_JOBS[i % len(BATCH_JOBS)],
                 server_index=i,
             )
         )
@@ -141,10 +140,8 @@ def run_cluster_scale(
     workers: int = 1,
     cache=None,
     task_timeout: Optional[float] = None,
-    batch_jobs: Optional[Sequence[BatchJobProfile]] = None,
     progress=None,
     checkpoint: Optional[CheckpointStore] = None,
-    resume: bool = True,
 ) -> ClusterScaleResult:
     """Run a sharded, epoch-barriered cluster-scale simulation.
 
@@ -155,9 +152,9 @@ def run_cluster_scale(
     content-addressed result cache under the usual key contract.
     ``progress`` is an optional callable ``(message: str) -> None``.
 
-    ``checkpoint`` persists every epoch barrier to disk; with ``resume``
-    (the default) the run first replays the longest valid checkpoint
-    prefix and only simulates the remaining epochs.  A resumed run's
+    ``checkpoint`` persists every epoch barrier to disk; the run first
+    replays the longest valid checkpoint prefix and only simulates the
+    remaining epochs.  A resumed run's
     digest is bit-identical to an uninterrupted one because the barrier
     state (harvest allocation, routing carryover, health cool-downs)
     round-trips exactly and all per-epoch randomness derives from
@@ -168,7 +165,6 @@ def run_cluster_scale(
     sim = sim or SimulationConfig()
     cfg = cfg or ClusterScaleConfig()
     _validate(system, cfg)
-    jobs = list(batch_jobs or BATCH_JOBS)
     cluster = system.cluster
     profiles = get_suite(sim.suite)[: cluster.primary_vms_per_server]
     mix = service_mix(profiles, cluster)
@@ -187,9 +183,9 @@ def run_cluster_scale(
     first_epoch = 0
     started = time.monotonic()
 
-    if checkpoint is not None and checkpoint.warn is None:
-        checkpoint.warn = progress
-    if checkpoint is not None and resume:
+    if checkpoint is not None:
+        if checkpoint.warn is None:
+            checkpoint.warn = progress
         entries, state = checkpoint.load(cfg.epochs)
         if entries:
             epochs = [
@@ -238,7 +234,7 @@ def run_cluster_scale(
                 for c in routing.counts
             ]
 
-        points = _epoch_points(system, sim, cfg, epoch, alloc, load_scale, jobs)
+        points = _epoch_points(system, sim, cfg, epoch, alloc, load_scale)
         if progress is not None:
             faulted = (
                 sum(1 for i in range(cfg.servers)

@@ -7,11 +7,12 @@ This is the public entry point a downstream user touches::
                         SimulationConfig(requests_per_service=1000))
     print(result.avg_p99_ms())
 
-``run_systems`` accepts ``workers=`` and ``cache=``: with either set, the
-runs are routed through :mod:`repro.parallel` — fanned out over a process
-pool and/or served from the content-addressed result cache — with
-bit-identical results to the serial path (the simulator is deterministic
-and systems are independent).
+``run_systems`` runs its systems through
+:func:`repro.parallel.runner.run_sweep`: in-process at ``workers=1``,
+fanned out over a process pool above it, and served from the
+content-addressed result cache when ``cache=`` is given.  Results are
+bit-identical at any worker count (the simulator is deterministic and
+systems are independent).
 
 The paper's 8-server setup is
 :func:`repro.cluster_scale.runner.run_cluster_scale` with
@@ -112,30 +113,27 @@ def run_systems(
     systems: Dict[str, SystemConfig],
     simcfg: Optional[SimulationConfig] = None,
     batch_job: Optional[BatchJobProfile] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     cache: Optional["ResultCache"] = None,
 ) -> Dict[str, ServerResult]:
     """Run several systems on the identical workload (same seed) and return
     results keyed by system name — the shape every comparison figure needs.
 
     ``workers=N`` fans the systems out over a process pool and ``cache=``
-    serves repeats from the content-addressed result cache; both produce
-    results bit-identical to the serial path.
+    serves repeats from the content-addressed result cache.  A point that
+    still fails after its retries raises
+    :class:`~repro.parallel.runner.SweepError`.
     """
-    if workers is not None or cache is not None:
-        from repro.parallel.runner import run_sweep
-        from repro.parallel.sweep import SweepPoint
+    from repro.parallel.runner import run_sweep
+    from repro.parallel.sweep import SweepPoint
 
-        points = [
-            SweepPoint(
-                label=name,
-                system=cfg,
-                sim=simcfg or SimulationConfig(),
-                batch_job=batch_job,
-            )
-            for name, cfg in systems.items()
-        ]
-        return dict(run_sweep(points, workers=workers or 1, cache=cache).results)
-    return {
-        name: run_server(cfg, simcfg, batch_job) for name, cfg in systems.items()
-    }
+    points = [
+        SweepPoint(
+            label=name,
+            system=cfg,
+            sim=simcfg or SimulationConfig(),
+            batch_job=batch_job,
+        )
+        for name, cfg in systems.items()
+    ]
+    return dict(run_sweep(points, workers=workers, cache=cache).results)

@@ -2,8 +2,9 @@
 mean / spread / confidence intervals for any metric.
 
 Single-seed P99s carry sampling noise; a credible comparison states its
-spread. :func:`replicate` runs one system across N seeds (optionally in a
-process pool — runs are independent); :func:`compare_metric` replicates
+spread. :func:`replicate` runs one system across N seeds through
+:func:`repro.parallel.runner.run_sweep` (in a process pool when
+``workers > 1`` — runs are independent); :func:`compare_metric` replicates
 several systems on *paired* seeds and summarizes a metric with a paired
 confidence interval on the ratio vs a baseline.
 """
@@ -11,11 +12,10 @@ confidence interval on the ratio vs a baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SimulationConfig, SystemConfig
-from repro.core.experiment import run_server
 from repro.core.metrics import ServerResult
 
 #: t-distribution 97.5% quantiles for small samples (df = 1..30).
@@ -65,30 +65,23 @@ def replicate(
     system: SystemConfig,
     simcfg: SimulationConfig,
     seeds: Sequence[int],
-    parallel: bool = False,
-    workers: Optional[int] = None,
+    workers: int = 1,
     cache=None,
 ) -> List[ServerResult]:
-    """Run one system once per seed.
+    """Run one system once per seed, in seed order.
 
-    ``workers=N``/``cache=`` route the seeds through
-    :func:`repro.parallel.run_sweep` (process-pool fan-out plus the
-    content-addressed result cache); ``parallel=True`` is the legacy
-    spelling of ``workers=8``.  Results are bit-identical either way.
+    ``workers=N`` fans the seeds out over a process pool and ``cache=``
+    serves repeats from the content-addressed result cache; results are
+    bit-identical either way.  Empty or duplicate seeds raise
+    :class:`ValueError`.
     """
-    if not seeds:
-        raise ValueError("no seeds given")
-    if parallel and workers is None:
-        workers = min(8, len(seeds))
-    if workers is not None or cache is not None:
-        from repro.parallel import SweepSpec, run_sweep
+    from repro.parallel import SweepSpec, run_sweep
 
-        spec = SweepSpec(
-            systems={system.name: system}, seeds=tuple(seeds), sim=simcfg
-        )
-        outcome = run_sweep(spec, workers=workers or 1, cache=cache)
-        return list(outcome.results.values())
-    return [run_server(system, replace(simcfg, seed=s)) for s in seeds]
+    spec = SweepSpec(
+        systems={system.name: system}, seeds=tuple(seeds), sim=simcfg
+    )
+    outcome = run_sweep(spec, workers=workers, cache=cache)
+    return list(outcome.results.values())
 
 
 def compare_metric(
@@ -97,7 +90,6 @@ def compare_metric(
     seeds: Sequence[int],
     metric: Callable[[ServerResult], float],
     baseline: Optional[str] = None,
-    parallel: bool = False,
 ) -> Dict[str, Dict[str, MetricSummary]]:
     """Replicate several systems on paired seeds.
 
@@ -106,7 +98,7 @@ def compare_metric(
     paired comparison that cancels workload noise.
     """
     results = {
-        name: replicate(system, simcfg, seeds, parallel)
+        name: replicate(system, simcfg, seeds)
         for name, system in systems.items()
     }
     out: Dict[str, Dict[str, MetricSummary]] = {}

@@ -1,20 +1,21 @@
 """Parallel sweep execution with content-addressed result caching.
 
-The fan-out/cache substrate behind ``python -m repro sweep``, the
-``workers=``/``cache=`` path of :func:`repro.run_systems`, each epoch of
-:func:`repro.cluster_scale.run_cluster_scale`, and the figure benchmarks:
+Every multi-point run goes through :func:`run_sweep`: ``python -m repro
+sweep``/``compare``/``faults``, :func:`repro.run_systems`,
+:func:`repro.core.replicate.replicate`, each epoch of
+:func:`repro.cluster_scale.run_cluster_scale`, the service's jobs and the
+figure benchmarks' multi-system fixtures.
 
-* :class:`SweepSpec` / :class:`SweepPoint` — declarative (system, seed,
-  override) grids, enumerated in deterministic order.
-* :func:`run_sweep` — process-pool execution with per-task timeout,
-  per-point retry with capped exponential backoff (:class:`RetryPolicy`),
-  broken-pool rebuild, optional quarantine of hopeless points, and
-  collection keyed by point.
+* :class:`SweepSpec` / :class:`SweepPoint` — declarative (system, seed)
+  grids, enumerated in deterministic order, or any list of points.
+* :func:`run_sweep` — in-process at ``workers=1``, a process pool above
+  it, with per-task timeout, per-point retry with capped exponential
+  backoff (:class:`RetryPolicy`), broken-pool rebuild, optional
+  quarantine of hopeless points, and collection keyed by point.
 * :class:`ResultCache` — content-addressed on-disk cache under
   ``.repro_cache/`` keyed by config hash + package version, with
   zlib-compressed v2 entries (legacy v1 entries are read, never
-  written), batch ``get_many``/``put_many``, and a bounded in-process LRU
-  layer.
+  written) and batch ``get_many``/``put_many``.
 """
 
 from repro.parallel.cache import (

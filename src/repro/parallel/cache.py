@@ -29,13 +29,10 @@ Storage formats — both live under ``<root>/<key[:2]>/<key>.json``:
   transparently, so a directory written by an older release keeps
   hitting after an upgrade.
 
-On top of the disk store sits a bounded in-process LRU
-(``memory_entries``; 0 disables) so repeated gets of the same key —
-service result endpoints, sweep retries, epoch barriers — never re-open
-or re-parse a file.  Writes go to a temp file in the same directory
-followed by :func:`os.replace`, so concurrent writers (e.g. two pytest
-workers racing on the same point) can never leave a torn file — last
-writer wins, and both wrote identical bytes anyway because runs are
+Every lookup reads the disk entry.  Writes go to a temp file in the same
+directory followed by :func:`os.replace`, so concurrent writers (e.g. two
+pytest workers racing on the same point) can never leave a torn file —
+last writer wins, and both wrote identical bytes anyway because runs are
 deterministic.
 """
 
@@ -46,7 +43,6 @@ import json
 import os
 import tempfile
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -167,9 +163,6 @@ class CacheStats:
     #: Entries dropped because they were unreadable or recorded under a
     #: different package version than the file location implies.
     invalidations: int = 0
-    #: Subset of ``hits`` served by the in-process LRU layer (no file
-    #: open, no JSON parse).
-    memory_hits: int = 0
 
     def hit_rate(self) -> float:
         looked = self.hits + self.misses
@@ -181,7 +174,6 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "invalidations": self.invalidations,
-            "memory_hits": self.memory_hits,
             "hit_rate": self.hit_rate(),
         }
 
@@ -193,11 +185,6 @@ class ResultCache:
     root: str = DEFAULT_CACHE_DIR
     version: str = field(default_factory=lambda: repro.__version__)
     stats: CacheStats = field(default_factory=CacheStats)
-    #: Bound of the in-process LRU layer (entries); 0 disables it.
-    memory_entries: int = 512
-    _memory: "OrderedDict[str, Dict[str, Any]]" = field(
-        default_factory=OrderedDict, repr=False, compare=False
-    )
 
     def key(self, payload: Dict[str, Any]) -> str:
         """The content address of a sweep-point payload under this version."""
@@ -281,34 +268,15 @@ class ResultCache:
             }
         return _decode_v1(blob)
 
-    # -- memory layer -------------------------------------------------
-
-    def _remember(self, key: str, result: Dict[str, Any]) -> None:
-        if not self.memory_entries:
-            return
-        mem = self._memory
-        mem[key] = result
-        mem.move_to_end(key)
-        while len(mem) > self.memory_entries:
-            mem.popitem(last=False)
-
     # -- core API -----------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result dict for ``key``, or None on miss.
 
-        Served from the in-process LRU when possible; otherwise the disk
-        entry (either format) is read and remembered.  A corrupted or
+        The disk entry may be in either format.  A corrupted or
         version-mismatched entry counts as a miss (plus an invalidation)
         and is deleted so the recompute can overwrite it.
         """
-        if self.memory_entries:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                self.stats.hits += 1
-                self.stats.memory_hits += 1
-                return cached
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
@@ -328,7 +296,6 @@ class ResultCache:
                 pass
             return None
         self.stats.hits += 1
-        self._remember(key, result)
         return result
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
@@ -369,7 +336,6 @@ class ResultCache:
                 pass
             raise
         self.stats.stores += 1
-        self._remember(key, result)
 
     def put_many(
         self,

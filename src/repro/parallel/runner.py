@@ -37,9 +37,7 @@ into :mod:`repro.cluster.server` workers.
 from __future__ import annotations
 
 import json
-import pickle
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -66,10 +64,6 @@ MAX_POOL_REBUILDS = 3
 
 #: Patchable sleep hook so tests can assert backoff without waiting it out.
 _sleep = time.sleep
-
-#: zlib level for chunk result transfer: 1 trades a little ratio for
-#: speed — the point is shrinking IPC pickles, not archival storage.
-_RESULT_COMPRESSION_LEVEL = 1
 
 #: Per-worker memo: content key -> deserialized config object.  A chunk
 #: of cluster-scale points shares its SystemConfig / SimulationConfig /
@@ -111,19 +105,6 @@ def _memoized_part(kind: str, part: Dict, build: Callable[[Dict], Any]) -> Any:
         obj = build(part)
         _WORKER_MEMO[memo_key] = obj
     return obj
-
-
-def _decode_chunk_result(result: bytes) -> Dict:
-    """Inverse of the worker-side result compression.
-
-    Pickle (not JSON) under the zlib layer: result dicts may carry
-    int-keyed counters, and a JSON round-trip would coerce those keys to
-    strings — changing ``canonical_json`` sort order and therefore the
-    digests that must stay bit-identical between the serial and pooled
-    paths.  The bytes come from our own pool workers, the same trust
-    domain whose task pickles we already execute.
-    """
-    return pickle.loads(zlib.decompress(result))
 
 
 @dataclass(frozen=True)
@@ -185,7 +166,7 @@ def execute_payload(payload_json: str) -> Dict:
 
 def execute_payload_chunk(
     tasks: Sequence[Tuple[str, str]],
-) -> List[Tuple[str, Optional[bytes], Optional[str]]]:
+) -> List[Tuple[str, Optional[Dict], Optional[str]]]:
     """Worker entry point: run a contiguous chunk of sweep points.
 
     Submitting one pool task per *chunk* rather than per point amortizes
@@ -195,24 +176,13 @@ def execute_payload_chunk(
     crashed point reports its error without poisoning its chunk-mates.
 
     ``execute_payload`` is resolved through the module global at call
-    time so test monkeypatching reaches the chunked path too.
-
-    Successful results cross the process boundary as zlib-compressed
-    pickles (decoded by :func:`_decode_chunk_result` on the parent side):
-    result dicts are multi-KB of repetitive text, so compressing at level
-    1 shrinks the IPC pickle several-fold for negligible CPU.
+    time so test monkeypatching reaches the chunked path too.  Result
+    dicts go back as they are; the executor pickles them.
     """
-    out: List[Tuple[str, Optional[bytes], Optional[str]]] = []
+    out: List[Tuple[str, Optional[Dict], Optional[str]]] = []
     for label, payload_json in tasks:
         try:
-            result = zlib.compress(
-                pickle.dumps(
-                    execute_payload(payload_json),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-                _RESULT_COMPRESSION_LEVEL,
-            )
-            out.append((label, result, None))
+            out.append((label, execute_payload(payload_json), None))
         except Exception as exc:  # noqa: BLE001 - uniform retry handling
             out.append((label, None, f"{type(exc).__name__}: {exc}"))
     return out
@@ -298,7 +268,7 @@ def _execute_batch(
             try:
                 for label, result, err in future.result(timeout=timeout):
                     if err is None:
-                        done[label] = _decode_chunk_result(result)
+                        done[label] = result
                     else:
                         failed[label] = err
             except FutureTimeout:
@@ -362,9 +332,10 @@ def run_sweep(
 ) -> SweepOutcome:
     """Execute every point of ``spec``; return results in spec order.
 
-    ``workers > 1`` fans cache misses out over a process pool; results are
-    nevertheless collected per point, so the output is identical to the
-    serial path.  With a ``cache``, previously-computed points are served
+    ``workers=1`` runs the points in this process; ``workers > 1`` fans
+    cache misses out over a process pool.  Results are collected per
+    point, so the output is identical at any worker count.  With a
+    ``cache``, previously-computed points are served
     from disk and fresh results are stored back.  ``verify_cached=True``
     additionally recomputes every hit and insists on bit-identical output
     (see :class:`DeterminismError`).

@@ -1,10 +1,13 @@
-"""Sweep enumeration: which (system, seed, config-override) points to run.
+"""Sweep enumeration: which (system, seed) points to run.
 
 Every evaluation in the paper is a sweep — five systems x many seeds x
 ablation knobs (Figures 11-19, Table 1).  A :class:`SweepSpec` describes
-one such grid declaratively; :meth:`SweepSpec.points` enumerates it in a
-*fixed, deterministic order* so that results can always be collected and
-reported keyed by point, never by completion order.
+a systems x seeds grid declaratively; :meth:`SweepSpec.points` enumerates
+it in a *fixed, deterministic order* so that results can always be
+collected and reported keyed by point, never by completion order.  Any
+other grid (an ablation knob, a batch job, a server index) is a list of
+:class:`SweepPoint` objects, which :func:`repro.parallel.runner.run_sweep`
+takes as well.
 
 A :class:`SweepPoint` is self-contained: it carries the full
 :class:`~repro.config.SystemConfig` and :class:`~repro.config.SimulationConfig`
@@ -261,60 +264,31 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A grid of simulations: systems x seeds x simulation-field overrides.
-
-    ``overrides`` is an ordered mapping from an axis label to a dict of
-    :class:`~repro.config.SimulationConfig` field overrides applied with
-    :func:`dataclasses.replace` — e.g. ``{"load1.5": {"load_scale": 1.5}}``
-    sweeps a load knob.  An empty mapping means a single unmodified axis.
-    """
+    """A grid of simulations: systems x seeds on one simulation config."""
 
     systems: Mapping[str, SystemConfig]
     seeds: Sequence[int] = (2025,)
     sim: SimulationConfig = field(default_factory=SimulationConfig)
-    overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    batch_job: Optional[BatchJobProfile] = None
 
     def __post_init__(self) -> None:
         if not self.systems:
             raise ValueError("SweepSpec needs at least one system")
         if not self.seeds:
             raise ValueError("SweepSpec needs at least one seed")
-        for axis, fields in self.overrides.items():
-            unknown = set(fields) - {
-                f.name for f in dataclasses.fields(SimulationConfig)
-            }
-            if unknown:
-                raise ValueError(
-                    f"override axis {axis!r} sets unknown "
-                    f"SimulationConfig fields {sorted(unknown)}"
-                )
 
     def points(self) -> Iterator[SweepPoint]:
         """Enumerate the grid in deterministic order.
 
-        Order: override axis (declaration order), then system (declaration
-        order), then seed (given order).  Labels are unique and stable:
-        ``"<system>/seed=<s>"`` plus ``"/<axis>"`` when an override applies.
+        Order: system (declaration order), then seed (given order).
+        Labels are unique and stable: ``"<system>/seed=<s>"``.
         """
-        axes: List[Tuple[str, Mapping[str, Any]]] = (
-            list(self.overrides.items()) if self.overrides else [("", {})]
-        )
-        for axis, fields in axes:
-            for name, system in self.systems.items():
-                for seed in self.seeds:
-                    sim = replace(self.sim, seed=seed, **dict(fields))
-                    label = f"{name}/seed={seed}"
-                    if axis:
-                        label += f"/{axis}"
-                    yield SweepPoint(
-                        label=label,
-                        system=system,
-                        sim=sim,
-                        batch_job=self.batch_job,
-                    )
+        for name, system in self.systems.items():
+            for seed in self.seeds:
+                yield SweepPoint(
+                    label=f"{name}/seed={seed}",
+                    system=system,
+                    sim=replace(self.sim, seed=seed),
+                )
 
     def size(self) -> int:
-        return (
-            max(1, len(self.overrides)) * len(self.systems) * len(self.seeds)
-        )
+        return len(self.systems) * len(self.seeds)

@@ -297,7 +297,6 @@ class JobManager:
             self._cache_totals.misses += stats.misses
             self._cache_totals.stores += stats.stores
             self._cache_totals.invalidations += stats.invalidations
-            self._cache_totals.memory_hits += stats.memory_hits
 
     # -- TTL eviction --------------------------------------------------
     def evict_expired(self, ttl_s: float, now: Optional[float] = None) -> List[str]:
@@ -386,7 +385,6 @@ class JobManager:
                 misses=self._cache_totals.misses,
                 stores=self._cache_totals.stores,
                 invalidations=self._cache_totals.invalidations,
-                memory_hits=self._cache_totals.memory_hits,
             )
 
 

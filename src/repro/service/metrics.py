@@ -149,11 +149,6 @@ class MetricsRegistry:
             [({}, cache.invalidations)],
         )
         family(
-            "repro_cache_memory_hits_total", "counter",
-            "Subset of cache hits served by the in-process LRU layer.",
-            [({}, cache.memory_hits)],
-        )
-        family(
             "repro_cache_hit_ratio", "gauge",
             "hits / (hits + misses) across all jobs; 0 before any lookup.",
             [({}, cache.hit_rate())],

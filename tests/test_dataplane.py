@@ -12,9 +12,8 @@ Three invariants anchor this layer:
   maintenance surface (``disk_stats``, ``prune_stale``, the CLI)
   understands both formats side by side.  Well-formed JSON of the wrong
   shape is a corrupt entry, never a crash or a hit.
-* **Result parity** — split keys, v2 entries, the LRU layer, the worker
-  memo and compressed chunk IPC give bit-identical sweep fingerprints,
-  warm or cold, serial or pooled.
+* **Result parity** — split keys, v2 entries and the worker memo give
+  bit-identical sweep fingerprints, warm or cold, serial or pooled.
 
 Plus the job-store TTL satellite: eviction of terminal job records via
 the manager, the offline pruner, and the CLI.
@@ -26,7 +25,6 @@ import json
 import os
 import shutil
 import time
-import zlib
 
 import pytest
 
@@ -208,26 +206,6 @@ def test_wrong_shape_v1_entry_is_corrupt(tmp_path, text):
     assert not os.path.exists(path)
 
 
-def test_memory_layer_is_bounded_lru(tmp_path):
-    cache = ResultCache(root=str(tmp_path), memory_entries=2)
-    payloads = [{**PAYLOAD, "server_index": i} for i in range(3)]
-    keys = [cache.key(p) for p in payloads]
-    for k, p in zip(keys, payloads):
-        cache.put(k, p, {"i": p["server_index"]})
-    assert len(cache._memory) == 2  # bound holds; oldest evicted
-    assert keys[0] not in cache._memory
-    # Evicted key still hits from disk (and is re-remembered).
-    assert cache.get(keys[0]) == {"i": 0}
-    assert cache.stats.memory_hits == 0
-    assert cache.get(keys[0]) == {"i": 0}
-    assert cache.stats.memory_hits == 1
-    # memory_entries=0 disables the layer entirely.
-    bare = ResultCache(root=str(tmp_path), memory_entries=0)
-    assert bare.get(keys[0]) == {"i": 0}
-    assert bare.get(keys[0]) == {"i": 0}
-    assert bare.stats.memory_hits == 0 and bare._memory == {}
-
-
 def test_get_many_counter_parity_with_single_gets(tmp_path):
     payloads = [{**PAYLOAD, "server_index": i} for i in range(4)]
     seed = ResultCache(root=str(tmp_path))
@@ -355,21 +333,6 @@ def test_memoized_part_reuses_equal_content():
     assert len(calls) == 3
     runner_mod._init_worker()
     assert runner_mod._WORKER_MEMO == {}
-
-
-def test_chunk_results_cross_as_compressed_bytes():
-    import repro.parallel.runner as runner_mod
-
-    point = next(iter(tiny_spec(n_systems=1, seeds=(0,)).points()))
-    tasks = [(point.label, point.payload_json())]
-    out = runner_mod.execute_payload_chunk(tasks)
-    assert len(out) == 1
-    label, blob, err = out[0]
-    assert err is None and isinstance(blob, bytes)
-    decoded = runner_mod._decode_chunk_result(blob)
-    assert decoded == runner_mod.execute_payload(point.payload_json())
-    # zlib layer is really there (and worth it).
-    assert len(blob) < len(zlib.decompress(blob))
 
 
 def test_run_sweep_serves_every_point_from_v1_directory(tmp_path):
@@ -505,8 +468,7 @@ def test_metrics_expose_evictions_and_memory_hits(tmp_path):
 
     manager = JobManager(JobStore(str(tmp_path)))
     manager.evicted = 3
-    manager.fold_cache_stats(CacheStats(hits=5, memory_hits=2))
+    manager.fold_cache_stats(CacheStats(hits=5))
     text = MetricsRegistry(manager, service_workers=1).render()
     assert "repro_service_jobs_evicted_total 3" in text
-    assert "repro_cache_memory_hits_total 2" in text
     assert "repro_cache_hits_total 5" in text

@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster_scale import ClusterScaleConfig, run_cluster_scale
 from repro.config import SimulationConfig, SystemKind
-from repro.core.experiment import run_systems
+from repro.core.experiment import run_server, run_systems
 from repro.core.export import server_result_to_dict
 from repro.core.presets import all_systems, build_system
 from repro.parallel import (
@@ -77,27 +77,6 @@ def test_spec_enumeration_order_and_labels():
     assert spec.size() == len(labels)
     seeds = [p.sim.seed for p in spec.points()]
     assert seeds == [7, 3, 7, 3]
-
-
-def test_spec_override_axes():
-    spec = SweepSpec(
-        systems={"NoHarvest": build_system(SystemKind.NOHARVEST)},
-        seeds=(1,),
-        sim=TINY,
-        overrides={"load1.5": {"load_scale": 1.5}, "hot": {"accesses_per_segment": 6}},
-    )
-    points = list(spec.points())
-    assert [p.label for p in points] == [
-        "NoHarvest/seed=1/load1.5", "NoHarvest/seed=1/hot",
-    ]
-    assert points[0].sim.load_scale == 1.5
-    assert points[1].sim.accesses_per_segment == 6
-    with pytest.raises(ValueError):
-        SweepSpec(
-            systems={"NoHarvest": build_system(SystemKind.NOHARVEST)},
-            sim=TINY,
-            overrides={"bad": {"not_a_field": 1}},
-        )
 
 
 def test_payload_excludes_label_and_is_canonical():
@@ -401,12 +380,29 @@ def test_broken_pool_is_rebuilt_and_sweep_completes(monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 def test_run_systems_workers_path_matches_serial(tmp_path):
     systems = dict(list(all_systems().items())[:2])
-    serial = run_systems(systems, TINY)
+    serial = {name: run_server(cfg, TINY) for name, cfg in systems.items()}
     fanned = run_systems(
         systems, TINY, workers=2, cache=ResultCache(root=str(tmp_path))
     )
     assert list(fanned) == list(serial)
     assert fingerprints(fanned) == fingerprints(serial)
+
+
+def test_run_systems_failing_point_raises_sweep_error(monkeypatch):
+    """Without workers or cache too, a point is retried, then fails the run."""
+    import repro.parallel.runner as runner_mod
+
+    calls = []
+
+    def boom(payload_json):
+        calls.append(payload_json)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(runner_mod, "execute_payload", boom)
+    monkeypatch.setattr(runner_mod, "_sleep", lambda s: None)
+    with pytest.raises(SweepError, match="boom"):
+        run_systems(dict(list(all_systems().items())[:1]), TINY)
+    assert len(calls) == 3
 
 
 def test_run_cluster_scale_workers_path_matches_serial(tmp_path):

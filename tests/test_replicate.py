@@ -51,6 +51,10 @@ class TestReplicate:
         with pytest.raises(ValueError):
             replicate(noharvest(), FAST, seeds=[])
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            replicate(noharvest(), FAST, seeds=[1, 1])
+
 
 class TestCompare:
     def test_paired_ratio_summary(self):

@@ -42,17 +42,14 @@ def test_miss_then_hit_with_counters(tmp_path):
     key = cache.key(PAYLOAD)
     assert cache.get(key) is None
     cache.put(key, PAYLOAD, RESULT)
-    # put() primes the in-process LRU, so this hit never touches disk.
     assert cache.get(key) == RESULT
-    assert cache.stats == CacheStats(
-        hits=1, misses=1, stores=1, invalidations=0, memory_hits=1
-    )
+    assert cache.stats == CacheStats(hits=1, misses=1, stores=1, invalidations=0)
     assert cache.stats.hit_rate() == 0.5
     assert len(cache) == 1
-    # A fresh instance (cold memory layer) hits the disk entry.
+    # A fresh instance hits the same disk entry.
     fresh = ResultCache(root=str(tmp_path))
     assert fresh.get(key) == RESULT
-    assert fresh.stats == CacheStats(hits=1, memory_hits=0)
+    assert fresh.stats == CacheStats(hits=1)
 
 
 def test_version_bump_misses_and_prune_evicts(tmp_path):
