@@ -37,7 +37,8 @@ Commands
 ``sweep`` and ``cluster`` turn their flags into a job body and parse it
 with the service's validator (:mod:`repro.service.spec`), so a command and
 the equivalent ``POST /jobs`` body give the same configs, job id and
-digest.
+digest.  Every other command checks its simulation flags with the same
+validator, so a bad value exits 2 naming the field before any point runs.
 
 Examples::
 
@@ -74,12 +75,16 @@ SYSTEM_NAMES = [kind.value for kind in SystemKind]
 
 
 def _sim_config(args: argparse.Namespace) -> SimulationConfig:
-    return SimulationConfig(
+    from repro.service.spec import validate_simulation
+
+    sim = SimulationConfig(
         horizon_ms=args.horizon_ms,
         warmup_ms=min(args.horizon_ms / 5, 100.0),
         seed=args.seed,
         accesses_per_segment=args.accesses,
     )
+    validate_simulation(sim)
+    return sim
 
 
 def _print_result(name: str, res) -> None:
@@ -170,25 +175,19 @@ def _write_stats_json(path: str, payload: dict) -> None:
 
 def _parse_job(args: argparse.Namespace, body: dict):
     """Parse a job body built from ``sweep``/``cluster`` flags with the
-    service's validator; on a bad field, print it and return None.
+    service's validator.
 
     ``--workers`` is a run setting: it is set on the parsed request, so
     the CLI keeps accepting what the service's admission limit refuses.
     """
-    from repro.service.spec import JobValidationError, parse_job_request
+    from repro.service.spec import parse_job_request
 
     body["simulation"] = {
         "horizon_ms": args.horizon_ms,
         "seed": args.seed,
         "accesses_per_segment": args.accesses,
     }
-    try:
-        request = parse_job_request(body)
-    except JobValidationError as exc:
-        print(f"{args.command}: invalid field {exc.field!r}: {exc}",
-              file=sys.stderr)
-        return None
-    return replace(request, workers=args.workers)
+    return replace(parse_job_request(body), workers=args.workers)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -217,8 +216,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "harvest_base": args.harvest_base,
         "cooldown": args.cooldown,
     })
-    if request is None:
-        return 2
     cfg = request.cluster
     if cfg.fault_plan is not None:
         print(f"fault plan {args.fault_plan} "
@@ -293,7 +290,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """SIGKILL-and-resume soak over a fault-plan cluster run."""
     from repro.cluster_scale.chaos import run_chaos_soak
-    from repro.service.spec import JobValidationError
 
     try:
         record = run_chaos_soak(
@@ -310,10 +306,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             kill_after_epochs=args.kill_after,
             progress=lambda msg: print(f"[chaos] {msg}", flush=True),
         )
-    except JobValidationError as exc:
-        print(f"chaos: invalid field {exc.field!r}: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ValueError) as exc:
+    except RuntimeError as exc:
         print(f"chaos soak failed: {exc}", file=sys.stderr)
         return 1
 
@@ -345,8 +338,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     request = _parse_job(args, {
         "kind": "sweep", "systems": args.systems, "seeds": args.seeds,
     })
-    if request is None:
-        return 2
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     try:
         outcome, digest = run_job(
@@ -405,6 +396,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.parallel import DeterminismError, ResultCache, SweepError, run_sweep
     from repro.parallel.sweep import SweepPoint
 
+    simcfg = _sim_config(args)
     if args.list:
         for name in scenario_names():
             scenario = get_scenario(name, args.horizon_ms)
@@ -425,7 +417,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     scenario = get_scenario(args.scenario, args.horizon_ms)
     simcfg = replace(
-        _sim_config(args), faults=scenario.schedule, client=scenario.client
+        simcfg, faults=scenario.schedule, client=scenario.client
     )
     print(f"=== scenario {scenario.name}: {scenario.description}")
     print(scenario.schedule.describe())
@@ -887,8 +879,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.service.spec import JobValidationError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except JobValidationError as exc:
+        print(f"{args.command}: invalid field {exc.field!r}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

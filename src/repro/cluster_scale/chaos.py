@@ -31,7 +31,7 @@ from typing import Dict, Optional
 import repro
 from repro.cluster_scale.resilience import CheckpointStore, cluster_run_key
 from repro.service.executor import run_job
-from repro.service.spec import parse_job_request
+from repro.service.spec import JobValidationError, parse_job_request
 from repro.workloads.batch import BATCH_JOBS
 
 
@@ -146,9 +146,10 @@ def _run_soak(
     say,
 ) -> Dict:
     if not 1 <= kill_after_epochs < epochs:
-        raise ValueError(
+        raise JobValidationError(
+            "kill_after_epochs",
             f"kill_after_epochs must be in [1, {epochs - 1}], got "
-            f"{kill_after_epochs}"
+            f"{kill_after_epochs}",
         )
     # The job body the victim's command line below parses to, so the
     # in-process runs and the victim share one checkpoint run key.

@@ -55,6 +55,47 @@ def test_cluster_bad_flag_exits_2_naming_the_field(flags, field, capsys,
     assert f"invalid field {field!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--accesses", "0"], "accesses_per_segment"),
+    (["trace", "--accesses", "0"], "accesses_per_segment"),
+    (["run", "--horizon-ms", "0"], "horizon_ms"),
+    (["faults", "--horizon-ms", "0"], "horizon_ms"),
+    (["faults", "--list", "--horizon-ms", "0"], "horizon_ms"),
+    (["compare", "--seed", "-1"], "seed"),
+    (["faults", "--seed", "-1"], "seed"),
+])
+def test_simulation_flags_checked_by_the_spec_validator(argv, field, capsys,
+                                                        monkeypatch, tmp_path):
+    """Every command exits 2 naming the field before any point is built."""
+    import repro.cluster.server
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(repro.cluster.server.ServerSimulation, "__init__",
+                        no_points)
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    assert rc == 2
+    assert f"{argv[0]}: invalid field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--kill-after", "0"], ["--kill-after", "5"]])
+def test_chaos_kill_after_out_of_range_exits_2(flags, capsys, monkeypatch):
+    """A bad ``--kill-after`` is a bad flag (exit 2), not a failed recovery
+    (exit 1), and no run or victim starts."""
+    import repro.cluster_scale.chaos as chaos
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run or victim started")
+
+    monkeypatch.setattr(chaos, "run_job", no_runs)
+    monkeypatch.setattr(chaos.subprocess, "Popen", no_runs)
+    rc = main(["chaos", "--servers", "2", "--epochs", "2", *flags])
+    assert rc == 2
+    assert "chaos: invalid field 'kill_after_epochs'" in capsys.readouterr().err
+
+
 def test_run_command_missing_config_exits_2(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     rc = main(["run", "--config", str(missing)])
