@@ -10,11 +10,6 @@ hardware agent: it tracks an EWMA of observed blocking durations per
 Primary VM and lends block-idled cores only when the typical block is long
 enough to amortize a lend/reclaim round trip. Termination-idled cores are
 always lendable (reassignment is nearly free in hardware).
-
-The paper also sketches burst-aware throttling ("keeping a buffer of idle
-cores ready for Primary VM bursts"); ``reserve_during_bursts`` implements
-it: when a VM's recent demand exceeds its EWMA by a factor, lending for
-that VM pauses.
 """
 
 from __future__ import annotations
@@ -38,20 +33,14 @@ class AdaptiveAgent(HardwareAgent):
         self,
         min_worthwhile_block_ns: int = 50 * US,
         ewma_alpha: float = 0.2,
-        reserve_during_bursts: bool = False,
-        burst_factor: float = 3.0,
     ):
         super().__init__(HarvestTrigger.ON_BLOCK)
         if min_worthwhile_block_ns < 0:
             raise ValueError("min_worthwhile_block_ns must be non-negative")
         self.min_worthwhile_block_ns = min_worthwhile_block_ns
         self.ewma_alpha = ewma_alpha
-        self.reserve_during_bursts = reserve_during_bursts
-        self.burst_factor = burst_factor
         #: Per-VM EWMA of observed blocking durations (ns).
         self._block_ewma: Dict[int, float] = {}
-        #: Per-VM EWMA of instantaneous demand (busy cores) for burst sense.
-        self._demand_ewma: Dict[int, float] = {}
         self.block_lends_suppressed = 0
 
     # ------------------------------------------------------------------
@@ -62,32 +51,16 @@ class AdaptiveAgent(HardwareAgent):
             self.ewma_alpha * duration_ns + (1 - self.ewma_alpha) * prev
         )
 
-    def observe_demand(self, vm_id: int, busy_cores: int) -> None:
-        prev = self._demand_ewma.get(vm_id, float(busy_cores))
-        self._demand_ewma[vm_id] = (
-            self.ewma_alpha * busy_cores + (1 - self.ewma_alpha) * prev
-        )
-
     def typical_block_ns(self, vm_id: int) -> float:
         return self._block_ewma.get(vm_id, float("inf"))
 
     # ------------------------------------------------------------------
     def on_core_idle(self, core: "Core", cause: str) -> bool:
-        vm_id = core.owner_vm_id
-        if self.reserve_during_bursts:
-            vm = self.engine.vms_by_id[vm_id]
-            busy = sum(
-                1 for c in vm.cores if c.state == "busy" and not c.on_loan
-            )
-            self.observe_demand(vm_id, busy)
-            ewma = self._demand_ewma.get(vm_id, 0.0)
-            if ewma > 0 and busy > self.burst_factor * ewma:
-                return False
         if cause == "term":
             return True
         # Block-idled: lend only when the VM's blocks are typically long
         # enough that the harvest window is worth a lend/reclaim cycle.
-        if self.typical_block_ns(vm_id) < self.min_worthwhile_block_ns:
+        if self.typical_block_ns(core.owner_vm_id) < self.min_worthwhile_block_ns:
             self.block_lends_suppressed += 1
             return False
         return True
