@@ -85,10 +85,6 @@ class Request:
         #: Cancellable deadline timer armed by the client runtime.
         self.deadline_event: Optional[object] = None
 
-    @property
-    def blocks_remaining(self) -> int:
-        return self.segments_total - 1 - self.segments_done
-
     def latency_ns(self) -> int:
         if self.completion_ns is None:
             raise ValueError(f"request {self.req_id} has not completed")

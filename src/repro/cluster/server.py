@@ -66,7 +66,6 @@ from repro.sim.stats import (
 from repro.sim.units import SEC
 from repro.telemetry import tracer as trc
 from repro.telemetry.probes import ProbeEngine
-from repro.telemetry.tracer import Tracer
 from repro.workloads.batch import BATCH_JOBS, BatchJobProfile
 from repro.workloads.alibaba import sample_instances, utilization_timeseries
 from repro.workloads.loadgen import (
@@ -83,8 +82,17 @@ from repro.workloads.microservices import (
 from repro.workloads.suites import get_suite
 
 
+def _no_emit(ts, kind, req=-1, vm=-1, core=-1, extra=0) -> None:
+    """The trace hook with telemetry off: ``Tracer.emit``'s signature, no work."""
+
+
 class ServerSimulation:
-    """One simulated server under one system configuration."""
+    """One simulated server under one system configuration.
+
+    Built in steps (VMs, cores, agent, metrics, observers, workload), each
+    creating the state it owns; then :meth:`run`, ``summarize`` and
+    :meth:`close`.
+    """
 
     def __init__(
         self,
@@ -98,25 +106,44 @@ class ServerSimulation:
         self.server_index = server_index
         self.sim = Simulator()
         self.rng = RngRegistry(derive_server_seed(simcfg.seed, server_index))
+        # Hot-path hoists. Named streams are cached by the registry (same
+        # generator object every call, seeded by name alone), so binding
+        # them once removes a registry lookup per segment without touching
+        # the draw sequence.
+        self._mem_rng = self.rng.stream("mem")
+        self._batchmem_rng = self.rng.stream("batchmem")
+        self._costs_rng = self.rng.stream("costs")
         self.costs = CostModel(system)
         self.dram = DramModel(system.hierarchy.memory)
         self.nic = Nic()
         #: Dedicated backend servers (Memcached/Redis/MongoDB tiers).
         self.backends = BackendTier(self.sim)
+        #: Without a hardware scheduler, requests are steered to per-core
+        #: queues (RSS onto vCPU runqueues) — Section 4.1.6's software world.
+        self.per_core_steering = not system.flags.sched
+        self._build_vms(batch_job)
+        self._build_cores()
+        self.agent = self._make_agent()
+        self.agent.attach(self)
+        self._build_metrics()
+        self._build_observers()
+        # Pre-draw workload: identical across systems given the same seed.
+        self._build_workload()
 
+    # ------------------------------------------------------------------
+    def _build_vms(self, batch_job: Optional[BatchJobProfile]) -> None:
+        """The Primary and Harvest VMs, and with hardware scheduling the
+        controller whose QMs serve them."""
+        system = self.system
         cluster = system.cluster
         self.controller: Optional[HardHarvestController] = None
         if system.hardware_scheduling:
             self.controller = HardHarvestController(
                 system.controller, cluster.cores_per_server, system.hierarchy.freq_ghz
             )
-
-        # ------------------------------------------------------------------
-        # Build VMs.
-        # ------------------------------------------------------------------
         self.primary_vms: List[PrimaryVm] = []
         self.vms_by_id: Dict[int, object] = {}
-        services = get_suite(simcfg.suite)[: cluster.primary_vms_per_server]
+        services = get_suite(self.simcfg.suite)[: cluster.primary_vms_per_server]
         vm_id = 0
         for profile in services:
             space = AddressSpace(vm_id)
@@ -137,13 +164,9 @@ class ServerSimulation:
             self.vms_by_id[vm_id] = vm
             vm_id += 1
 
-        #: Without a hardware scheduler, requests are steered to per-core
-        #: queues (RSS onto vCPU runqueues) — Section 4.1.6's software world.
-        self.per_core_steering = not system.flags.sched
-
         self.harvest_vms: List[HarvestVm] = []
         for h in range(cluster.harvest_vms_per_server):
-            job = batch_job or BATCH_JOBS[(server_index + h) % len(BATCH_JOBS)]
+            job = batch_job or BATCH_JOBS[(self.server_index + h) % len(BATCH_JOBS)]
             space = AddressSpace(vm_id)
             batch_memory = BatchMemory(
                 space, job.code_pages, job.data_pages, job.skew
@@ -165,9 +188,10 @@ class ServerSimulation:
         self.harvest_vm = self.harvest_vms[0]
         self._lend_rr = 0  # round-robin lend target among Harvest VMs
 
-        # ------------------------------------------------------------------
-        # Build cores.
-        # ------------------------------------------------------------------
+    def _build_cores(self) -> None:
+        """Each Primary VM's cores, then each Harvest VM's base cores; any
+        left over stay idle and unbound."""
+        cluster = self.system.cluster
         self.cores: List[Core] = []
         core_id = 0
         for vm in self.primary_vms:
@@ -180,106 +204,18 @@ class ServerSimulation:
                 core = self._make_core(core_id, hvm.vm_id)
                 hvm.cores.append(core)
                 core_id += 1
-        # Unallocated cores (if any) are left idle and unbound.
         while core_id < cluster.cores_per_server:
             self._make_core(core_id, -1)
             core_id += 1
-
-        if simcfg.record_l2_trace:
+        if self.simcfg.record_l2_trace:
             for core in self.cores:
-                core.memory.l2.array.enable_trace(simcfg.trace_limit)
-
-        # ------------------------------------------------------------------
-        # Harvesting agent.
-        # ------------------------------------------------------------------
-        self.agent = self._make_agent()
-        self.agent.attach(self)
-
-        # ------------------------------------------------------------------
-        # Metrics.
-        # ------------------------------------------------------------------
-        self.latency: Dict[str, LatencyRecorder] = {
-            vm.name: LatencyRecorder(vm.name) for vm in self.primary_vms
-        }
-        self.latency_all = LatencyRecorder("all")
-        self.util = UtilizationTracker(cluster.cores_per_server)
-        self._busy = 0
-        self.counters = Counter()
-        self.breakdowns = BreakdownRecorder()
-        self.l2_primary_hits = 0
-        self.l2_primary_accesses = 0
-        self.l2_batch_hits = 0
-        self.l2_batch_accesses = 0
-        self.end_ns = 0
-        self._target_completions = 0
-        self._completions = 0
-        self._finished = False
-        self._closed = False
-
-        # ------------------------------------------------------------------
-        # Telemetry (off by default). When disabled, ``tracer`` stays None
-        # and every hook is a single attribute test — no per-event heap
-        # churn; when enabled, hooks only *read* state, so simulation
-        # results are bit-identical either way.
-        # ------------------------------------------------------------------
-        self.tracer: Optional[Tracer] = None
-        self.probes: Optional[ProbeEngine] = None
-        tcfg = simcfg.telemetry
-        if tcfg is not None and tcfg.enabled:
-            self.tracer = Tracer(tcfg.max_events)
-            self.probes = ProbeEngine(self, tcfg)
-
-        # ------------------------------------------------------------------
-        # Fault injection + client resilience (robustness experiments).
-        # ------------------------------------------------------------------
-        self.injector: Optional[FaultInjector] = None
-        if simcfg.faults is not None and len(simcfg.faults):
-            self.injector = FaultInjector(self, simcfg.faults)
-        self.client: Optional[ClientRuntime] = None
-        if simcfg.client is not None:
-            self.client = ClientRuntime(self, simcfg.client)
-
-        # ------------------------------------------------------------------
-        # Hot-path hoists. Named streams are cached by the registry (same
-        # generator object every call, seeded by name alone), so binding
-        # them once removes a registry lookup per segment without touching
-        # the draw sequence.
-        # ------------------------------------------------------------------
-        self._mem_rng = self.rng.stream("mem")
-        self._batchmem_rng = self.rng.stream("batchmem")
-        self._costs_rng = self.rng.stream("costs")
-        #: Flat counter store: hot handlers bump this dict directly instead
-        #: of paying ``Counter.incr``'s method call + validation per event.
-        #: Same underlying defaultdict, so cold-path ``incr`` calls and
-        #: result extraction observe every update immediately.
-        self._counts = self.counters._counts
+                core.memory.l2.array.enable_trace(self.simcfg.trace_limit)
         #: Cores currently executing a batch unit (state BUSY with a live
         #: ``batch_event``), maintained at the four transition sites so the
         #: sync-overhead model reads a counter instead of scanning all
         #: cores.
         self._active_batch_cores = 0
-        #: Per-VM scheduling descriptors: the queue methods the hot
-        #: handlers call, bound once (queue objects never change after
-        #: construction).  One dict hit replaces repeated
-        #: ``vm.queue.<method>`` attribute chains per handler invocation.
-        self._vm_desc = {
-            vm.vm_id: (
-                vm.queue,
-                vm.queue.has_ready,
-                vm.queue.dequeue,
-                vm.queue.ready_count,
-                vm.queue.ready_steered_cores,
-                vm.cores,
-            )
-            for vm in self.primary_vms
-        }
 
-        # ------------------------------------------------------------------
-        # Pre-draw workload: identical across systems given the same seed.
-        # ------------------------------------------------------------------
-        self._generate_workload()
-
-    # ------------------------------------------------------------------
     def _make_core(self, core_id: int, owner_vm_id: int) -> Core:
         memory = CoreMemory(self.system.hierarchy, self.system.partition, self.dram)
         core = Core(core_id, owner_vm_id, memory)
@@ -300,7 +236,57 @@ class ServerSimulation:
             return HardwareAgent(trigger)
         return SmartHarvestAgent(trigger, self.system.smartharvest)
 
-    def _generate_workload(self) -> None:
+    def _build_metrics(self) -> None:
+        """Latency, utilization and counters, and the run's end state."""
+        self.latency: Dict[str, LatencyRecorder] = {
+            vm.name: LatencyRecorder(vm.name) for vm in self.primary_vms
+        }
+        self.latency_all = LatencyRecorder("all")
+        self.util = UtilizationTracker(self.system.cluster.cores_per_server)
+        self._busy = 0
+        self.counters = Counter()
+        #: Flat counter store: hot handlers bump this dict directly instead
+        #: of paying ``Counter.incr``'s method call + validation per event.
+        #: Same underlying defaultdict, so cold-path ``incr`` calls and
+        #: result extraction observe every update immediately.
+        self._counts = self.counters._counts
+        self.breakdowns = BreakdownRecorder()
+        self.l2_primary_hits = 0
+        self.l2_primary_accesses = 0
+        self.l2_batch_hits = 0
+        self.l2_batch_accesses = 0
+        self.end_ns = 0
+        self._target_completions = 0
+        self._completions = 0
+        self._finished = False
+        self._closed = False
+
+    def _build_observers(self) -> None:
+        """Telemetry, fault injection and the client runtime; each stays
+        None when its config is off.
+
+        Every trace hook calls :attr:`emit` unconditionally: the tracer's
+        ``emit`` with telemetry on, an empty function otherwise. Hooks only
+        *read* state, so results are bit-identical either way.
+        """
+        simcfg = self.simcfg
+        self.tracer: Optional[trc.Tracer] = None
+        self.probes: Optional[ProbeEngine] = None
+        tcfg = simcfg.telemetry
+        if tcfg is not None and tcfg.enabled:
+            self.tracer = trc.Tracer(tcfg.max_events)
+            self.probes = ProbeEngine(self, tcfg)
+        self.emit = _no_emit if self.tracer is None else self.tracer.emit
+        self.injector: Optional[FaultInjector] = None
+        if simcfg.faults is not None and len(simcfg.faults):
+            self.injector = FaultInjector(self, simcfg.faults)
+        self.client: Optional[ClientRuntime] = None
+        if simcfg.client is not None:
+            self.client = ClientRuntime(self, simcfg.client)
+
+    def _build_workload(self) -> None:
+        """Pre-draw every request's arrival and demand, and schedule the
+        arrivals."""
         simcfg = self.simcfg
         horizon_ns = int(simcfg.horizon_ms * 1e6)
         warmup_ns = int(simcfg.warmup_ms * 1e6)
@@ -459,9 +445,7 @@ class ServerSimulation:
     # Arrival and dispatch
     # ==================================================================
     def _arrival(self, vm: PrimaryVm, req: Request) -> None:
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.sim.now, trc.REQ_ARRIVAL, req.req_id, vm.vm_id)
+        self.emit(self.sim.now, trc.REQ_ARRIVAL, req.req_id, vm.vm_id)
         if self.client is not None:
             # Arm the attempt's deadline before the network can lose it:
             # the client only learns of a drop when the deadline expires.
@@ -484,9 +468,7 @@ class ServerSimulation:
         if self.client is not None:
             # The deadline timer keeps running; its expiry drives the retry.
             req.failed = True
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.sim.now, trc.REQ_FAIL, req.req_id, vm.vm_id, -1, -1)
+            self.emit(self.sim.now, trc.REQ_FAIL, req.req_id, vm.vm_id, -1, -1)
         else:
             self._fail_attempt(vm, req)
 
@@ -506,9 +488,7 @@ class ServerSimulation:
             # Admission control: fast-fail instead of growing the queue
             # without bound; the client backs off and retries.
             self.counters.incr("admission_shed")
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(self.sim.now, trc.REQ_SHED, req.req_id, vm.vm_id)
+            self.emit(self.sim.now, trc.REQ_SHED, req.req_id, vm.vm_id)
             self.client.on_shed(vm, req)
             return
         now = self.sim.now
@@ -536,31 +516,27 @@ class ServerSimulation:
         in_hw = vm.queue.enqueue(req)
         if not in_hw:
             self._counts["queue_overflow_spills"] += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now,
-                trc.REQ_ENQUEUE if in_hw else trc.REQ_ENQUEUE_SPILL,
-                req.req_id,
-                vm.vm_id,
-                -1,
-                vm.queue.pending(),
-            )
+        self.emit(
+            self.sim.now,
+            trc.REQ_ENQUEUE if in_hw else trc.REQ_ENQUEUE_SPILL,
+            req.req_id,
+            vm.vm_id,
+            -1,
+            vm.queue.pending(),
+        )
         self._work_available(vm)
 
     def _work_available(self, vm: PrimaryVm) -> None:
         """Start a dispatch or a reclaim if ``vm`` has ready work.
 
-        Runs on every enqueue and every I/O completion, so it works off
-        the per-VM descriptor (bound queue methods, core list) and scans
-        the core list once per decision instead of materializing
+        Runs on every enqueue and every I/O completion, so it scans the
+        core list once per decision instead of materializing
         idle/loaned/available sublists.
         """
-        _queue, has_ready, _deq, ready_count, ready_steered, cores = (
-            self._vm_desc[vm.vm_id]
-        )
-        if not has_ready():
+        queue = vm.queue
+        if not queue.has_ready():
             return
+        cores = vm.cores
         if not self.per_core_steering:
             # Shared per-VM subqueue: the first idle bound core in core
             # order serves the head.
@@ -577,7 +553,7 @@ class ServerSimulation:
         # Per-core steering: each ready request waits for *its* core.
         stuck_on_loan = []
         all_cores = self.cores
-        for core_id in ready_steered():
+        for core_id in queue.ready_steered_cores():
             core = all_cores[core_id]
             if core.state == IDLE and not core.on_loan and core.guest_vm_id is None:
                 self._start_dispatch(core, vm)
@@ -598,7 +574,7 @@ class ServerSimulation:
         for c in cores:
             if not c.on_loan and c.guest_vm_id is None:
                 available += 1
-        if ready_count() > available:
+        if queue.ready_count() > available:
             for c in cores:
                 if c.on_loan and c.state != SWITCHING:
                     self._start_reclaim(vm, c)
@@ -623,42 +599,28 @@ class ServerSimulation:
                     and not core.on_loan
                     and core.guest_vm_id is None
                 ):
-                    self._start_guest_dispatch(core, vm, attach=True)
+                    self._start_dispatch(core, vm)
                     return True
         return False
-
-    def _start_guest_dispatch(self, core: Core, vm: PrimaryVm, attach: bool) -> None:
-        """Dispatch one of ``vm``'s requests on a borrowed buffer core."""
-        req = vm.queue.dequeue()
-        if req is None:
-            return
-        core.state = SWITCHING
-        core.idle_cause = None
-        core.current_request = req
-        if attach:
-            core.guest_vm_id = vm.vm_id
-            delay = self.system.smartharvest.buffer_attach_ns
-            req.breakdown.reassign_ns += delay
-            self._counts["buffer_borrows"] += 1
-        else:
-            delay = self.costs.dispatch_ns(self._costs_rng)
-        req.breakdown.queueing_ns += self.sim.now - req.ready_since_ns + delay
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.REQ_DISPATCH, req.req_id, vm.vm_id,
-                core.core_id, delay,
-            )
-        core.run_event = self.sim.schedule(delay, self._dispatch_done, core, vm, req)
 
     def _loaned_core_ids(self, vm: PrimaryVm) -> set:
         return {c.core_id for c in vm.cores if c.on_loan}
 
     def _start_dispatch(self, core: Core, vm: PrimaryVm, steal: bool = False) -> None:
+        """Dequeue one of ``vm``'s requests and start its dispatch on ``core``.
+
+        A core of another VM serves ``vm`` as an emergency-buffer guest: it
+        takes any of ``vm``'s ready work, and attaching it (the first
+        dispatch) costs ``buffer_attach_ns``, charged as reassignment,
+        instead of a dispatch.
+        """
+        guest = core.owner_vm_id != vm.vm_id
         if steal:
             # Stealing may not touch work stranded on loaned cores: the OS
             # keeps those threads on their (descheduled) vCPU runqueues.
             req = vm.queue.dequeue(None, exclude_steered_to=self._loaned_core_ids(vm))
+        elif guest:
+            req = vm.queue.dequeue()
         else:
             req = vm.queue.dequeue(core.core_id if self.per_core_steering else None)
         if req is None:
@@ -666,18 +628,20 @@ class ServerSimulation:
         core.state = SWITCHING
         core.idle_cause = None
         core.current_request = req
-        delay = self.costs.dispatch_ns(self._costs_rng)
-        if steal:
-            # OS load balancing: pulling work steered to a sibling core.
-            delay += self.system.software_costs.rebalance_ns
-        queue_wait = self.sim.now - req.ready_since_ns
-        req.breakdown.queueing_ns += queue_wait + delay
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.REQ_DISPATCH, req.req_id, vm.vm_id,
-                core.core_id, delay,
-            )
+        if guest and core.guest_vm_id is None:
+            core.guest_vm_id = vm.vm_id
+            delay = self.system.smartharvest.buffer_attach_ns
+            req.breakdown.reassign_ns += delay
+            self._counts["buffer_borrows"] += 1
+        else:
+            delay = self.costs.dispatch_ns(self._costs_rng)
+            if steal:
+                # OS load balancing: pulling work steered to a sibling core.
+                delay += self.system.software_costs.rebalance_ns
+        req.breakdown.queueing_ns += self.sim.now - req.ready_since_ns + delay
+        self.emit(
+            self.sim.now, trc.REQ_DISPATCH, req.req_id, vm.vm_id, core.core_id, delay
+        )
         core.run_event = self.sim.schedule(delay, self._dispatch_done, core, vm, req)
 
     def _dispatch_done(self, core: Core, vm: PrimaryVm, req: Request) -> None:
@@ -699,9 +663,7 @@ class ServerSimulation:
             req.first_start_ns = self.sim.now
         core.state = BUSY
         self._enter_busy()
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.sim.now, trc.REQ_EXEC, req.req_id, vm.vm_id, core.core_id)
+        self.emit(self.sim.now, trc.REQ_EXEC, req.req_id, vm.vm_id, core.core_id)
         self._run_segment(core, vm, req)
 
     # ==================================================================
@@ -741,7 +703,7 @@ class ServerSimulation:
         req.segments_done += 1
         core.current_request = None
         self._leave_busy()
-        if req.blocks_remaining >= 0 and req.segments_done < req.segments_total:
+        if req.segments_done < req.segments_total:
             # Block on I/O: the entry stays in the queue, marked blocked;
             # with hardware context switching, the request's register state
             # parks in the Request Context Memory until the response.
@@ -755,43 +717,33 @@ class ServerSimulation:
                     )
                 )
             demand_ns = req.io_durations_ns[req.segments_done - 1]
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(
-                    self.sim.now, trc.REQ_BLOCK, req.req_id, vm.vm_id,
-                    core.core_id, demand_ns,
-                )
+            self.emit(
+                self.sim.now, trc.REQ_BLOCK, req.req_id, vm.vm_id, core.core_id,
+                demand_ns,
+            )
             rt = self.system.cluster.inter_server_rt_ns
-            observe = getattr(self.agent, "observe_block", None)
-            if observe is not None:
-                observe(vm.vm_id, demand_ns + rt)
+            self.agent.observe_block(vm.vm_id, demand_ns + rt)
             self._issue_backend_call(vm, req, demand_ns, rt)
             self._core_released(core, "block")
         else:
             vm.queue.complete(req)
             req.completion_ns = self.sim.now
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(
-                    self.sim.now, trc.REQ_COMPLETE, req.req_id, vm.vm_id,
-                    core.core_id, vm.queue.pending(),
-                )
+            self.emit(
+                self.sim.now, trc.REQ_COMPLETE, req.req_id, vm.vm_id, core.core_id,
+                vm.queue.pending(),
+            )
             if self.client is not None:
                 # The client dedupes hedges/retries and supplies the
                 # logical (first-arrival to now) latency.
                 counted, lat = self.client.on_complete(vm, req)
-                if counted:
-                    self.latency[vm.name].record(lat)
-                    self.latency_all.record(lat)
-                    self.breakdowns.record(vm.name, req.breakdown)
-                    self._counts["requests_measured"] += 1
             else:
-                if req.measured:
-                    lat = req.latency_ns()
-                    self.latency[vm.name].record(lat)
-                    self.latency_all.record(lat)
-                    self.breakdowns.record(vm.name, req.breakdown)
-                    self._counts["requests_measured"] += 1
+                counted, lat = req.measured, req.latency_ns()
+            if counted:
+                self.latency[vm.name].record(lat)
+                self.latency_all.record(lat)
+                self.breakdowns.record(vm.name, req.breakdown)
+                self._counts["requests_measured"] += 1
+            if self.client is None:
                 self._logical_resolved()
             self._core_released(core, "term")
 
@@ -816,51 +768,53 @@ class ServerSimulation:
             return  # abandoned while blocked; its entry is already gone
         vm.queue.mark_ready(req)
         req.ready_since_ns = self.sim.now
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.sim.now, trc.REQ_READY, req.req_id, vm.vm_id)
+        self.emit(self.sim.now, trc.REQ_READY, req.req_id, vm.vm_id)
         self._work_available(vm)
 
+    def _owner_with_work(self, core: Core) -> Optional[PrimaryVm]:
+        """``core``'s Primary VM if it has ready work the core may take.
+
+        Under per-core steering a core takes only the requests steered to
+        it; a shared subqueue serves any of the VM's cores.
+        """
+        owner = self.vms_by_id.get(core.owner_vm_id)
+        if isinstance(owner, PrimaryVm) and owner.queue.has_ready(
+            core.core_id if self.per_core_steering else None
+        ):
+            return owner
+        return None
+
     def _core_released(self, core: Core, cause: str) -> None:
-        if self.injector is not None and self.injector.is_stalled(core):
-            # Core-stall fault: finish cleanup, then park until the window
-            # ends (the injector resumes us via _resume_stalled).
-            if core.guest_vm_id is not None:
-                core.memory.flush_private_full()
-                core.guest_vm_id = None
-                self._counts["buffer_returns"] += 1
-            core.state = STALLED
-            core.idle_cause = cause
-            core.idle_since = self.sim.now
-            return
+        stalled = self.injector is not None and self.injector.is_stalled(core)
         if core.guest_vm_id is not None:
             guest = self.vms_by_id[core.guest_vm_id]
-            owner_vm = self.vms_by_id.get(core.owner_vm_id)
-            if guest.queue.has_ready() and not (
-                isinstance(owner_vm, PrimaryVm)
-                and owner_vm.queue.has_ready(
-                    core.core_id if self.per_core_steering else None
-                )
+            if (
+                not stalled
+                and guest.queue.has_ready()
+                and self._owner_with_work(core) is None
             ):
                 # Keep serving the borrowing VM while it has work and the
                 # owner does not need the core.
-                self._start_guest_dispatch(core, guest, attach=False)
+                self._start_dispatch(core, guest)
                 return
             # Return to owner: scrub the private state (the buffer keeps
             # cores clean; the flush runs while the core is idle).
             core.memory.flush_private_full()
             core.guest_vm_id = None
             self._counts["buffer_returns"] += 1
-        core.state = IDLE
+        core.state = STALLED if stalled else IDLE
         core.idle_cause = cause
         core.idle_since = self.sim.now
+        if stalled:
+            # Core-stall fault: parked until the window ends (the injector
+            # resumes the core via _resume_stalled).
+            return
+        owner = self._owner_with_work(core)
+        if owner is not None:
+            self._start_dispatch(core, owner)
+            return
         owner = self.vms_by_id.get(core.owner_vm_id)
         if isinstance(owner, PrimaryVm):
-            if owner.queue.has_ready(
-                core.core_id if self.per_core_steering else None
-            ):
-                self._start_dispatch(core, owner)
-                return
             if self.per_core_steering and owner.queue.has_ready(
                 None, exclude_steered_to=self._loaned_core_ids(owner)
             ):
@@ -882,10 +836,8 @@ class ServerSimulation:
             return
         core.state = IDLE
         if core.on_loan:
-            owner = self.vms_by_id.get(core.owner_vm_id)
-            if isinstance(owner, PrimaryVm) and owner.queue.has_ready(
-                core.core_id if self.per_core_steering else None
-            ):
+            owner = self._owner_with_work(core)
+            if owner is not None:
                 self._start_reclaim(owner, core)
             else:
                 self._start_batch_unit(core)
@@ -901,12 +853,10 @@ class ServerSimulation:
             return
         if self.injector is not None and self.injector.server_down:
             return
-        owner = self.vms_by_id.get(core.owner_vm_id)
-        if not isinstance(owner, PrimaryVm) or owner.queue.has_ready(
-            core.core_id if self.per_core_steering else None
-        ):
+        if not isinstance(self.vms_by_id.get(core.owner_vm_id), PrimaryVm):
             return
-        self._start_lend(core)
+        if self._owner_with_work(core) is None:
+            self._start_lend(core)
 
     def _start_lend(self, core: Core) -> None:
         owner = self.vms_by_id[core.owner_vm_id]
@@ -915,12 +865,10 @@ class ServerSimulation:
         core.on_loan = True
         core.loan_start_ns = self.sim.now
         self._counts["lends"] += 1
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.CORE_LEND, -1, core.owner_vm_id,
-                core.core_id, cost.critical_ns,
-            )
+        self.emit(
+            self.sim.now, trc.CORE_LEND, -1, core.owner_vm_id, core.core_id,
+            cost.critical_ns,
+        )
         if self.controller is not None:
             self.controller.qm_for(owner.vm_id).lend_core(core.core_id)
         core.run_event = self.sim.schedule(
@@ -948,18 +896,13 @@ class ServerSimulation:
         flushed = flush()
         self._counts["lend_flushed_entries"] += flushed
         target = self._pick_harvest_vm()
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.CORE_LEND_DONE, -1, target.vm_id,
-                core.core_id, flushed,
-            )
+        self.emit(
+            self.sim.now, trc.CORE_LEND_DONE, -1, target.vm_id, core.core_id, flushed
+        )
         core.running_vm_id = target.vm_id
         self._load_vm_state(core, target.vm_id)
-        owner = self.vms_by_id[core.owner_vm_id]
-        if owner.queue.has_ready(
-            core.core_id if self.per_core_steering else None
-        ):
+        owner = self._owner_with_work(core)
+        if owner is not None:
             # Work arrived during the transition: bounce straight back.
             self._start_reclaim(owner, core)
             return
@@ -1021,12 +964,7 @@ class ServerSimulation:
         core.batch_unit_duration_ns = duration
         core.batch_unit_remaining_tag = unit.remaining_frac
         self._enter_busy()
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.BATCH_START, -1, hvm.vm_id,
-                core.core_id, duration,
-            )
+        self.emit(self.sim.now, trc.BATCH_START, -1, hvm.vm_id, core.core_id, duration)
         core.batch_event = self.sim.schedule(
             duration, self._batch_unit_done, core, unit.remaining_frac
         )
@@ -1038,23 +976,16 @@ class ServerSimulation:
         core.batch_event = None
         self._active_batch_cores -= 1
         self._leave_busy()
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.sim.now, trc.BATCH_DONE, -1, hvm.vm_id, core.core_id)
+        self.emit(self.sim.now, trc.BATCH_DONE, -1, hvm.vm_id, core.core_id)
         if self.injector is not None and self.injector.is_stalled(core):
             core.state = STALLED
             core.idle_since = self.sim.now
             return
-        owner = self.vms_by_id.get(core.owner_vm_id)
-        if (
-            core.on_loan
-            and isinstance(owner, PrimaryVm)
-            and owner.queue.has_ready(
-                core.core_id if self.per_core_steering else None
-            )
-        ):
-            self._start_reclaim(owner, core)
-            return
+        if core.on_loan:
+            owner = self._owner_with_work(core)
+            if owner is not None:
+                self._start_reclaim(owner, core)
+                return
         self._start_batch_unit(core)
 
     def _load_vm_state(self, core: Core, vm_id: int) -> None:
@@ -1100,22 +1031,18 @@ class ServerSimulation:
             else:
                 hvm.return_partial(started_frac, False, int(elapsed))
             self._leave_busy()
-            tr = self.tracer
-            if tr is not None:
-                tr.emit(
-                    self.sim.now, trc.BATCH_PREEMPT, -1, hvm.vm_id,
-                    core.core_id, int(elapsed),
-                )
+            self.emit(
+                self.sim.now, trc.BATCH_PREEMPT, -1, hvm.vm_id, core.core_id,
+                int(elapsed),
+            )
         core.state = SWITCHING
         core.reclaim_in_flight = True
         self._counts["reclaims"] += 1
         cost = self.costs.reclaim_cost(core.memory, self._costs_rng)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.CORE_RECLAIM, -1, vm.vm_id,
-                core.core_id, cost.critical_ns,
-            )
+        self.emit(
+            self.sim.now, trc.CORE_RECLAIM, -1, vm.vm_id, core.core_id,
+            cost.critical_ns,
+        )
         core.pending_reassign_ns = cost.reassign_ns
         core.pending_flush_ns = cost.flush_ns
         core.run_event = self.sim.schedule(
@@ -1126,12 +1053,10 @@ class ServerSimulation:
         core.run_event = None
         flushed = flush()
         self._counts["reclaim_flushed_entries"] += flushed
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.CORE_RECLAIM_DONE, -1, core.owner_vm_id,
-                core.core_id, flushed,
-            )
+        self.emit(
+            self.sim.now, trc.CORE_RECLAIM_DONE, -1, core.owner_vm_id, core.core_id,
+            flushed,
+        )
         core.on_loan = False
         core.reclaim_in_flight = False
         core.running_vm_id = core.owner_vm_id
@@ -1179,12 +1104,10 @@ class ServerSimulation:
                 pass
             req.context_slot = None
         discarded = vm.queue.discard(req)
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(
-                self.sim.now, trc.REQ_FAIL, req.req_id, vm.vm_id, -1,
-                vm.queue.pending() if discarded else -1,
-            )
+        self.emit(
+            self.sim.now, trc.REQ_FAIL, req.req_id, vm.vm_id, -1,
+            vm.queue.pending() if discarded else -1,
+        )
         if self.client is None:
             self.counters.incr("requests_lost")
             self._logical_resolved()
@@ -1194,9 +1117,7 @@ class ServerSimulation:
         entry, and batch unit on this server dies; cores reset clean."""
         self.counters.incr("faults_crashes")
         now = self.sim.now
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(now, trc.SERVER_CRASH)
+        self.emit(now, trc.SERVER_CRASH)
         for core in self.cores:
             if core.run_event is not None:
                 core.run_event.cancel()
@@ -1253,9 +1174,7 @@ class ServerSimulation:
         """SERVER_CRASH window closes: the server restarts clean and
         resumes serving (new arrivals + client retries) and batching."""
         self.counters.incr("faults_restarts")
-        tr = self.tracer
-        if tr is not None:
-            tr.emit(self.sim.now, trc.SERVER_RESTART)
+        self.emit(self.sim.now, trc.SERVER_RESTART)
         for hvm in self.harvest_vms:
             if hvm.active:
                 for core in hvm.cores:
@@ -1285,14 +1204,6 @@ class ServerSimulation:
     # ==================================================================
     # Results
     # ==================================================================
-    def p99_ms(self, service: Optional[str] = None) -> float:
-        rec = self.latency_all if service is None else self.latency[service]
-        return rec.p99() / 1e6
-
-    def p50_ms(self, service: Optional[str] = None) -> float:
-        rec = self.latency_all if service is None else self.latency[service]
-        return rec.p50() / 1e6
-
     def average_busy_cores(self) -> float:
         return self.util.average_busy(self.end_ns)
 

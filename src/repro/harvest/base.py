@@ -54,6 +54,10 @@ class HarvestAgent:
         """Return True to lend ``core`` to the Harvest VM right now."""
         raise NotImplementedError
 
+    def observe_block(self, vm_id: int, duration_ns: int) -> None:
+        """A request of ``vm_id`` blocked for ``duration_ns`` (network RT
+        plus backend demand); called by the engine on every blocking call."""
+
 
 class NoHarvestAgent(HarvestAgent):
     """Never lends: the conventional system."""

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict
 
 from repro.config import HarvestTrigger, SmartHarvestConfig
 from repro.harvest.base import HarvestAgent
+from repro.telemetry.tracer import AGENT_TICK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.core import Core
@@ -99,11 +100,7 @@ class SmartHarvestAgent(HarvestAgent):
         engine = self.engine
         self.ticks += 1
         now = engine.sim.now
-        tr = getattr(engine, "tracer", None)
-        if tr is not None:
-            from repro.telemetry.tracer import AGENT_TICK
-
-            tr.emit(now, AGENT_TICK, extra=self.lends_initiated)
+        engine.emit(now, AGENT_TICK, extra=self.lends_initiated)
         alpha = self.config.ewma_alpha
         for vm in engine.primary_vms:
             # Demand right now: running requests plus queued ready ones.
