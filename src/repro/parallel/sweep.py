@@ -181,11 +181,18 @@ def clear_fragment_memo() -> None:
     _SCALAR_MEMO.clear()
 
 
+#: The most points (systems x seeds) one sweep may hold.  A sweep's
+#: identity hashes every point, so a larger one would stall whoever
+#: computes it (the service's event loop, for one).
+MAX_SWEEP_POINTS = 4096
+
+
 def parse_seeds(text: str) -> Tuple[int, ...]:
     """Parse a seed set from CLI grammar.
 
     Accepts ``"0..7"`` (inclusive range), ``"3"``, or a comma list mixing
-    both: ``"0,2,8..11"``.
+    both: ``"0,2,8..11"``.  A range is sized before it is expanded: more
+    than :data:`MAX_SWEEP_POINTS` seeds is an error.
     """
     seeds: List[int] = []
     for part in text.split(","):
@@ -197,6 +204,8 @@ def parse_seeds(text: str) -> Tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty seed range {part!r}")
+            if len(seeds) + hi - lo + 1 > MAX_SWEEP_POINTS:
+                raise ValueError(f"more than {MAX_SWEEP_POINTS} seeds in {text!r}")
             seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))

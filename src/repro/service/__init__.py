@@ -13,39 +13,36 @@ Prometheus metrics.  ``python -m repro serve`` starts it; see
 * :mod:`repro.service.metrics` — Prometheus text exposition;
 * :mod:`repro.service.http` — asyncio front end + graceful shutdown;
 * :mod:`repro.service.client` — stdlib client used by tests and CI.
+
+Names are exported lazily: ``from repro.service import parse_job_request``
+imports only :mod:`repro.service.spec`, so the CLI, which parses every
+command through the job spec, does not load asyncio or the HTTP server.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import JobService, ServiceHandle, start_in_thread
-from repro.service.jobs import (
-    JobManager,
-    JobRecord,
-    JobStore,
-    QueueFullError,
-    prune_job_records,
-)
-from repro.service.spec import (
-    JobRequest,
-    JobValidationError,
-    job_content_id,
-    parse_job_request,
-    validate_simulation,
-)
+import importlib
 
-__all__ = [
-    "JobManager",
-    "JobRecord",
-    "JobRequest",
-    "JobService",
-    "JobStore",
-    "JobValidationError",
-    "QueueFullError",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
-    "job_content_id",
-    "parse_job_request",
-    "prune_job_records",
-    "start_in_thread",
-    "validate_simulation",
-]
+#: Submodule -> the names it exports, loaded on first access.
+_EXPORTS = {
+    "client": ("ServiceClient", "ServiceError"),
+    "http": ("JobService", "ServiceHandle", "start_in_thread"),
+    "jobs": ("JobManager", "JobRecord", "JobStore", "QueueFullError", "prune_job_records"),
+    "spec": (
+        "JobRequest",
+        "JobValidationError",
+        "job_content_id",
+        "parse_job_request",
+        "validate_simulation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -55,6 +55,21 @@ def test_cluster_bad_flag_exits_2_naming_the_field(flags, field, capsys,
     assert f"invalid field {field!r}" in capsys.readouterr().err
 
 
+def test_sweep_over_the_point_limit_exits_2_before_running(capsys, monkeypatch,
+                                                          tmp_path):
+    import repro.parallel.runner
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(repro.parallel.runner, "run_sweep", no_runs)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["sweep", "--systems", "NoHarvest", "--seeds", "0..4096",
+               "--horizon-ms", "10", "--accesses", "2", "--no-cache"])
+    assert rc == 2
+    assert "sweep: invalid field 'seeds'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,field", [
     (["run", "--accesses", "0"], "accesses_per_segment"),
     (["trace", "--accesses", "0"], "accesses_per_segment"),

@@ -8,10 +8,15 @@ digest.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
+from repro.parallel.sweep import MAX_SWEEP_POINTS
 from repro.service.executor import execute_job
 from repro.service.jobs import JobRecord, JobStore
 from repro.service.spec import JobValidationError, job_content_id, parse_job_request
@@ -33,6 +38,46 @@ def test_job_id_matches_golden(label):
 # ---------------------------------------------------------------------------
 # Strict parsing: outside input is checked field by field.
 # ---------------------------------------------------------------------------
+def test_importing_the_spec_loads_neither_the_server_nor_the_store():
+    """Every CLI command parses its flags through the spec, so importing it
+    must not pull in asyncio, the HTTP server or the job store; every name
+    the package exports still resolves."""
+    code = (
+        "import sys\n"
+        "import repro.service.spec\n"
+        "heavy = ('asyncio', 'repro.service.http', 'repro.service.jobs')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "import repro.service\n"
+        "print([n for n in repro.service.__all__ if getattr(repro.service, n) is None])\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("systems,seeds", [
+    ("NoHarvest", "0..4096"),
+    ("NoHarvest", list(range(4097))),
+    ("NoHarvest,HardHarvest-Block", "0..2048"),
+    ("NoHarvest", "0..1000000000000"),
+], ids=["range", "list", "product", "huge-range"])
+def test_sweep_over_the_point_limit_is_refused(systems, seeds):
+    """Refused before the seeds or the points are expanded."""
+    body = {"kind": "sweep", "systems": systems, "seeds": seeds}
+    with pytest.raises(JobValidationError) as excinfo:
+        parse_job_request(body)
+    assert excinfo.value.field == "seeds"
+
+
+def test_sweep_at_the_point_limit_is_accepted():
+    body = {"kind": "sweep", "systems": "NoHarvest",
+            "seeds": f"0..{MAX_SWEEP_POINTS - 1}"}
+    assert len(parse_job_request(body).points()) == MAX_SWEEP_POINTS
+
+
+
 CLUSTER = {"kind": "cluster", "cluster": {"servers": 2}}
 
 BAD_BODIES = [

@@ -37,6 +37,7 @@ from repro.parallel import (
     parse_seeds,
     run_sweep,
 )
+from repro.parallel.sweep import MAX_SWEEP_POINTS
 from repro.workloads.batch import BATCH_JOBS
 
 TINY = SimulationConfig(horizon_ms=12.0, warmup_ms=2.0, accesses_per_segment=3)
@@ -65,6 +66,13 @@ def test_parse_seeds_grammar():
         parse_seeds("5..2")
     with pytest.raises(ValueError):
         parse_seeds(",")
+
+
+def test_parse_seeds_sizes_a_range_before_expanding_it():
+    assert len(parse_seeds(f"0..{MAX_SWEEP_POINTS - 1}")) == MAX_SWEEP_POINTS
+    for text in (f"0,1..{MAX_SWEEP_POINTS}", "0..1000000000000"):
+        with pytest.raises(ValueError, match="more than"):
+            parse_seeds(text)
 
 
 def test_spec_enumeration_order_and_labels():

@@ -99,6 +99,15 @@ def test_wrong_typed_or_invalid_field_is_400(client, body, field):
     assert excinfo.value.body["field"] == field
 
 
+def test_sweep_over_the_point_limit_is_400(client):
+    """4,097 points: refused before the job id hashes every point."""
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(sweep_body(seeds="0..4096"))
+    assert excinfo.value.status == 400
+    assert excinfo.value.body["field"] == "seeds"
+    assert client.healthz()["queue_depth"] == 0
+
+
 def test_method_not_allowed(client):
     status, _ = client._request("GET", "/jobs")
     assert status == 405
