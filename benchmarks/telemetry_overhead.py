@@ -3,9 +3,9 @@
 The tracer hooks are compiled into the hot paths of
 :class:`~repro.cluster.server.ServerSimulation` (arrival, enqueue,
 dispatch, segment completion, lend/reclaim, batch units).  When telemetry
-is off they must cost essentially nothing: each hook is a single
-attribute load plus an ``is not None`` test.  This benchmark times the
-same simulation three ways —
+is off they must cost essentially nothing: each hook calls the server's
+``emit``, which is then an empty module-level function.  This benchmark
+times the same simulation three ways —
 
 * ``telemetry=None`` (the pre-telemetry spelling),
 * ``TelemetryConfig(enabled=False)`` (explicit off),
@@ -16,6 +16,10 @@ same simulation three ways —
 the disabled configurations agree within ``--tolerance`` (default 2%),
 and records the wall-clocks under
 ``bench_results/BENCH_telemetry_overhead.json``.
+
+Both disabled spellings build the same server, whose hooks all call the
+empty function, so the gate shows that they agree; it does not price a
+disabled hook against an engine without hooks.
 
 Usage::
 
