@@ -839,8 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="admission limit on queued jobs (default 64)")
     p_sv.add_argument("--service-workers", type=int, default=2,
                       help="concurrent jobs the service executes "
-                           "(default 2; each job also has its own "
-                           "per-job 'workers' process pool)")
+                           "(default 2); each of these slots keeps one "
+                           "pool of its jobs' 'workers' processes across "
+                           "its jobs, so concurrent jobs never share one")
     p_sv.add_argument("--grace-s", type=float, default=30.0,
                       help="seconds SIGTERM/SIGINT waits for in-flight "
                            "jobs before requeueing them (default 30)")

@@ -1,9 +1,11 @@
 """The sharded cluster-scale run loop.
 
 One run is a sequence of epochs; one epoch is an embarrassingly-parallel
-fan-out of per-server simulations over the process pool (the same chunked
-:func:`~repro.parallel.runner.execute_payload_chunk` executor the sweep
-runner uses), closed by a cluster-wide barrier where the coordinator:
+fan-out of per-server simulations over the run's process pool (one
+:class:`~repro.parallel.runner.WorkerPool` serves every epoch, through the
+same chunked :func:`~repro.parallel.runner.execute_payload_chunk` executor
+the sweep runner uses), closed by a cluster-wide barrier where the
+coordinator:
 
 1. merges the epoch's per-server results *in server order*;
 2. computes the utilization signal and lets the harvest rebalancer move
@@ -142,12 +144,17 @@ def run_cluster_scale(
     task_timeout: Optional[float] = None,
     progress=None,
     checkpoint: Optional[CheckpointStore] = None,
+    pool=None,
 ) -> ClusterScaleResult:
     """Run a sharded, epoch-barriered cluster-scale simulation.
 
     ``workers`` shards each epoch's servers over a process pool via
     :func:`repro.parallel.runner.run_sweep`; results are collected keyed
-    by server, so the outcome is bit-identical to ``workers=1``.
+    by server, so the outcome is bit-identical to ``workers=1``.  One
+    pool serves every epoch: ``pool``, a
+    :class:`~repro.parallel.runner.WorkerPool` of size ``workers`` the
+    caller owns, or else one this call builds at the first cache miss
+    and closes before it returns.
     ``cache`` serves previously-computed (server, epoch) points from the
     content-addressed result cache under the usual key contract.
     ``progress`` is an optional callable ``(message: str) -> None``.
@@ -160,8 +167,9 @@ def run_cluster_scale(
     round-trips exactly and all per-epoch randomness derives from
     ``(root seed, epoch)``.
     """
-    from repro.parallel.runner import run_sweep
+    from repro.parallel.runner import pool_scope, run_sweep
 
+    scope = pool_scope(pool, workers)
     sim = sim or SimulationConfig()
     cfg = cfg or ClusterScaleConfig()
     _validate(system, cfg)
@@ -208,111 +216,113 @@ def run_cluster_scale(
                             f"{first_epoch + 1}/{cfg.epochs}")
                 )
 
-    for epoch in range(first_epoch, cfg.epochs):
-        requests = cfg.epoch_requests(epoch)
-        eligible = health.eligible() if health is not None else None
-        routing: Optional[EpochRouting] = None
-        load_scale: List[Optional[float]]
-        if requests is None:
-            load_scale = [None] * cfg.servers
-        else:
-            routing = route_epoch(
-                cfg.routing,
-                routing_rng(sim.seed, epoch),
-                cfg.servers,
-                requests,
-                mix,
-                carryover,
-                eligible=eligible,
+    with scope as pool:
+        for epoch in range(first_epoch, cfg.epochs):
+            requests = cfg.epoch_requests(epoch)
+            eligible = health.eligible() if health is not None else None
+            routing: Optional[EpochRouting] = None
+            load_scale: List[Optional[float]]
+            if requests is None:
+                load_scale = [None] * cfg.servers
+            else:
+                routing = route_epoch(
+                    cfg.routing,
+                    routing_rng(sim.seed, epoch),
+                    cfg.servers,
+                    requests,
+                    mix,
+                    carryover,
+                    eligible=eligible,
+                )
+                # Routed share -> per-server load multiplier.  The floor keeps
+                # a starved server at a deterministic trickle instead of a
+                # zero rate the arrival generator rejects (excluded servers
+                # run at the floor, so their recovery is still simulated).
+                load_scale = [
+                    max(float(c) / (nominal_rps * epoch_s), 0.01) * sim.load_scale
+                    for c in routing.counts
+                ]
+
+            points = _epoch_points(system, sim, cfg, epoch, alloc, load_scale)
+            if progress is not None:
+                faulted = (
+                    sum(1 for i in range(cfg.servers)
+                        if plan.events_for(epoch, i))
+                    if plan is not None
+                    else 0
+                )
+                progress(
+                    f"epoch {epoch + 1}/{cfg.epochs}: {cfg.servers} server(s), "
+                    + (f"{requests} routed request(s)" if requests is not None
+                       else "nominal load")
+                    + (f", {faulted} server(s) under fault" if faulted else "")
+                )
+            outcome = run_sweep(
+                points, workers=workers, cache=cache,
+                task_timeout=task_timeout, pool=pool,
             )
-            # Routed share -> per-server load multiplier.  The floor keeps
-            # a starved server at a deterministic trickle instead of a
-            # zero rate the arrival generator rejects (excluded servers
-            # run at the floor, so their recovery is still simulated).
-            load_scale = [
-                max(float(c) / (nominal_rps * epoch_s), 0.01) * sim.load_scale
-                for c in routing.counts
+            cluster_result = ClusterResult(
+                system=system.name, servers=list(outcome.results.values())
+            )
+
+            # --- barrier: merge, rebalance, health, feed the router ---------
+            utilization = [
+                s.avg_busy_cores / cluster.cores_per_server
+                for s in cluster_result.servers
             ]
+            decision = None
+            if cfg.rebalance and epoch + 1 < cfg.epochs:
+                decision = rebalance_harvest(
+                    alloc,
+                    utilization,
+                    cluster.cores_per_server,
+                    cfg.harvest_min_cores,
+                    cfg.harvest_max_cores,
+                    cfg.rebalance_threshold,
+                    cfg.rebalance_max_moves,
+                )
+            health_record = None
+            if health is not None:
+                crashed = [_server_crashed(s) for s in cluster_result.servers]
+                health_record = health.barrier(crashed)
+            epochs.append(
+                EpochResult(
+                    epoch=epoch,
+                    seed=derive_epoch_seed(sim.seed, epoch),
+                    harvest_alloc=list(alloc),
+                    load_scale=[
+                        ls if ls is not None else sim.load_scale
+                        for ls in load_scale
+                    ],
+                    routing=routing.to_dict() if routing is not None else None,
+                    rebalance=decision.to_dict() if decision is not None else None,
+                    cluster=cluster_result,
+                    health=health_record,
+                )
+            )
+            if decision is not None:
+                alloc = list(decision.alloc)
+            # Observed busy core-time (µs) seeds the next epoch's estimated
+            # outstanding work, in the same units as per-request cost sums.
+            carryover = np.array(
+                [u * cluster.cores_per_server * cfg.epoch_ms * 1e3
+                 for u in utilization],
+                dtype=float,
+            )
 
-        points = _epoch_points(system, sim, cfg, epoch, alloc, load_scale)
-        if progress is not None:
-            faulted = (
-                sum(1 for i in range(cfg.servers)
-                    if plan.events_for(epoch, i))
-                if plan is not None
-                else 0
-            )
-            progress(
-                f"epoch {epoch + 1}/{cfg.epochs}: {cfg.servers} server(s), "
-                + (f"{requests} routed request(s)" if requests is not None
-                   else "nominal load")
-                + (f", {faulted} server(s) under fault" if faulted else "")
-            )
-        outcome = run_sweep(
-            points, workers=workers, cache=cache, task_timeout=task_timeout
-        )
-        cluster_result = ClusterResult(
-            system=system.name, servers=list(outcome.results.values())
-        )
-
-        # --- barrier: merge, rebalance, health, feed the router ---------
-        utilization = [
-            s.avg_busy_cores / cluster.cores_per_server
-            for s in cluster_result.servers
-        ]
-        decision = None
-        if cfg.rebalance and epoch + 1 < cfg.epochs:
-            decision = rebalance_harvest(
-                alloc,
-                utilization,
-                cluster.cores_per_server,
-                cfg.harvest_min_cores,
-                cfg.harvest_max_cores,
-                cfg.rebalance_threshold,
-                cfg.rebalance_max_moves,
-            )
-        health_record = None
-        if health is not None:
-            crashed = [_server_crashed(s) for s in cluster_result.servers]
-            health_record = health.barrier(crashed)
-        epochs.append(
-            EpochResult(
-                epoch=epoch,
-                seed=derive_epoch_seed(sim.seed, epoch),
-                harvest_alloc=list(alloc),
-                load_scale=[
-                    ls if ls is not None else sim.load_scale
-                    for ls in load_scale
-                ],
-                routing=routing.to_dict() if routing is not None else None,
-                rebalance=decision.to_dict() if decision is not None else None,
-                cluster=cluster_result,
-                health=health_record,
-            )
-        )
-        if decision is not None:
-            alloc = list(decision.alloc)
-        # Observed busy core-time (µs) seeds the next epoch's estimated
-        # outstanding work, in the same units as per-request cost sums.
-        carryover = np.array(
-            [u * cluster.cores_per_server * cfg.epoch_ms * 1e3
-             for u in utilization],
-            dtype=float,
-        )
-
-        if checkpoint is not None:
-            checkpoint.save(
-                epoch,
-                epochs[-1].to_dict(),
-                {
-                    "next_epoch": epoch + 1,
-                    "alloc": [int(a) for a in alloc],
-                    "carryover": [float(c) for c in carryover],
-                    "cooldown": (
-                        list(health.cooldown) if health is not None else None
-                    ),
-                },
-            )
+            if checkpoint is not None:
+                checkpoint.save(
+                    epoch,
+                    epochs[-1].to_dict(),
+                    {
+                        "next_epoch": epoch + 1,
+                        "alloc": [int(a) for a in alloc],
+                        "carryover": [float(c) for c in carryover],
+                        "cooldown": (
+                            list(health.cooldown) if health is not None else None
+                        ),
+                    },
+                )
 
     result = ClusterScaleResult(
         system=system.name,

@@ -9,7 +9,8 @@ figure benchmarks' multi-system fixtures.
 * :class:`SweepSpec` / :class:`SweepPoint` — declarative (system, seed)
   grids, enumerated in deterministic order, or any list of points.
 * :func:`run_sweep` — in-process at ``workers=1``, a process pool above
-  it, with per-task timeout, per-point retry with capped exponential
+  it (a :class:`WorkerPool` the caller may own, so its workers outlive
+  one call), with per-task timeout, per-point retry with capped exponential
   backoff (:class:`RetryPolicy`), broken-pool rebuild, optional
   quarantine of hopeless points, and collection keyed by point.
 * :class:`ResultCache` — content-addressed on-disk cache under
@@ -30,6 +31,7 @@ from repro.parallel.runner import (
     RetryPolicy,
     SweepError,
     SweepOutcome,
+    WorkerPool,
     execute_payload,
     run_sweep,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "run_sweep",
     "RetryPolicy",
     "SweepOutcome",
+    "WorkerPool",
     "SweepError",
     "DeterminismError",
     "execute_payload",

@@ -27,6 +27,12 @@ with ``quarantine=True`` — are recorded in
 :attr:`SweepOutcome.quarantined` and excluded from the results instead of
 sinking the sweep.
 
+Process ownership: a :class:`WorkerPool` keeps its workers across
+batches, so one pool serves a sweep's retry rounds, a cluster run's
+epochs (:func:`repro.cluster_scale.run_cluster_scale`) or a service
+slot's jobs.  It forks nothing until a batch has work for it, and its
+workers exit on their own when the process that forked them dies.
+
 Determinism guard: with ``verify_cached=True``, every cache hit is
 recomputed and the cached and fresh results must be *bit-identical*
 (compared as canonical JSON).  A mismatch raises :class:`DeterminismError`
@@ -36,12 +42,18 @@ into :mod:`repro.cluster.server` workers.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.export import server_result_from_dict, server_result_to_dict
 from repro.core.metrics import ServerResult
@@ -76,16 +88,120 @@ _WORKER_MEMO: Dict[str, Any] = {}
 _WORKER_MEMO_MAX = 512
 
 
+#: How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker thread: exit the process once its parent has died.
+
+    An orphaned worker is re-parented, so ``os.getppid()`` changes; its
+    call queue never reports end-of-file, because its siblings hold the
+    same pipe open.  ``PR_SET_PDEATHSIG`` is no substitute: it fires when
+    the forking *thread* exits, and service jobs fork from job threads.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker() -> None:
     """Process-pool initializer: reset the memo, pre-warm hot imports.
 
     Importing the simulator stack here (once per worker, before the
     first chunk lands) keeps the first task of every worker from paying
-    the import cost inside its timed chunk.
+    the import cost inside its timed chunk.  In a pool worker it also
+    starts the thread that ends the worker with its coordinator, even
+    one killed with SIGKILL.
     """
     _WORKER_MEMO.clear()
     import repro.core.experiment  # noqa: F401
     import repro.core.serialize  # noqa: F401
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(os.getppid(),),
+            name="repro-parent-watch", daemon=True,
+        ).start()
+
+
+class WorkerPool:
+    """``workers`` pool processes with an owner that outlives one batch.
+
+    The executor is built at the first batch that needs it, so a run
+    served entirely from the cache forks nothing.  A broken executor is
+    replaced at the next :meth:`executor` call, and after a chunk
+    timeout (:meth:`kill_workers`) the next batch gets fresh workers.
+    :meth:`close` joins the workers (or kills them) and refuses to start
+    new ones.
+    The owner keeps one batch at a time on a pool; only :meth:`close`
+    may come from another thread.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, built on first use and rebuilt once broken:
+        by a worker dying mid-batch or between batches (the OOM killer,
+        a stray signal)."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._executor is not None and self._executor._broken:
+                self._drop(kill=False, wait=False)
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_init_worker
+                )
+            return self._executor
+
+    def kill_workers(self) -> None:
+        """SIGKILL and reap the workers (they may be stuck in a point
+        that timed out) and drop the executor."""
+        with self._lock:
+            self._drop(kill=True, wait=False)
+
+    def close(self, kill: bool = False) -> None:
+        """Join the workers, or kill them with ``kill``; start no more."""
+        with self._lock:
+            self._closed = True
+            self._drop(kill=kill, wait=not kill)
+
+    def _drop(self, kill: bool, wait: bool) -> None:
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        procs = list((executor._processes or {}).values()) if kill else []
+        executor.shutdown(wait=wait, cancel_futures=True)
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def pool_scope(
+    pool: Optional[WorkerPool], workers: int
+) -> ContextManager[WorkerPool]:
+    """``pool`` itself when the caller owns one, else a new pool the
+    ``with`` block owns and closes.  A pool whose size is not
+    ``workers`` raises :class:`ValueError`: ``workers`` stays the one
+    size setting, and ``pool`` only chooses who owns the processes."""
+    if pool is None:
+        return WorkerPool(workers)
+    if pool.workers != workers:
+        raise ValueError(
+            f"pool has {pool.workers} worker(s) but workers={workers}"
+        )
+    return contextlib.nullcontext(pool)
 
 
 def _memoized_part(kind: str, part: Dict, build: Callable[[Dict], Any]) -> Any:
@@ -215,7 +331,7 @@ class SweepOutcome:
 
 def _execute_batch(
     tasks: Sequence[Tuple[str, str]],
-    workers: int,
+    pool: WorkerPool,
     task_timeout: Optional[float],
     chunk_size: Optional[int] = None,
 ) -> Tuple[Dict[str, Dict], Dict[str, str], int]:
@@ -242,7 +358,7 @@ def _execute_batch(
         return done, failed, rebuilds
     # One task runs in this process unless a timeout must be enforced:
     # only a pool worker can be abandoned (and terminated) mid-point.
-    if workers <= 1 or (len(tasks) == 1 and task_timeout is None):
+    if pool.workers <= 1 or (len(tasks) == 1 and task_timeout is None):
         for label, payload_json in tasks:
             try:
                 done[label] = execute_payload(payload_json)
@@ -252,13 +368,12 @@ def _execute_batch(
     if chunk_size is None:
         # Contiguous chunks, ~4 per worker: big enough to amortize pool
         # IPC, small enough that an uneven point mix still load-balances.
-        chunk_size = max(1, -(-len(tasks) // (workers * 4)))
+        chunk_size = max(1, -(-len(tasks) // (pool.workers * 4)))
     chunks = [tasks[i:i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-    max_workers = min(workers, len(chunks))
-    pool = ProcessPoolExecutor(max_workers=max_workers, initializer=_init_worker)
     timed_out = False
     try:
-        futures = [(chunk, pool.submit(execute_payload_chunk, chunk))
+        executor = pool.executor()
+        futures = [(chunk, executor.submit(execute_payload_chunk, chunk))
                    for chunk in chunks]
         cursor = 0
         while cursor < len(futures):
@@ -280,11 +395,10 @@ def _execute_batch(
                     )
             except BrokenProcessPool as exc:
                 # The chunk that broke the pool is lost; everything queued
-                # behind it is resubmitted to a fresh pool.
+                # behind it is resubmitted to a fresh executor.
                 for label, _ in chunk:
                     failed[label] = f"{type(exc).__name__}: {exc}"
                 remaining = futures[cursor:]
-                pool.shutdown(wait=False, cancel_futures=True)
                 if rebuilds >= MAX_POOL_REBUILDS:
                     for lost_chunk, _ in remaining:
                         for label, _ in lost_chunk:
@@ -297,11 +411,9 @@ def _execute_batch(
                     cursor = 0
                     break
                 rebuilds += 1
-                pool = ProcessPoolExecutor(
-                    max_workers=max_workers, initializer=_init_worker
-                )
+                executor = pool.executor()
                 futures = [
-                    (lost_chunk, pool.submit(execute_payload_chunk, lost_chunk))
+                    (lost_chunk, executor.submit(execute_payload_chunk, lost_chunk))
                     for lost_chunk, _ in remaining
                 ]
                 cursor = 0
@@ -311,13 +423,10 @@ def _execute_batch(
     finally:
         # A timed-out chunk's worker is still running it, and interpreter
         # exit would wait for it: kill the pool's workers (every other
-        # chunk has been collected by now).
-        procs = list((pool._processes or {}).values()) if timed_out else []
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
+        # chunk has been collected by now), so the next batch gets
+        # fresh ones.
+        if timed_out:
+            pool.kill_workers()
     return done, failed, rebuilds
 
 
@@ -329,12 +438,16 @@ def run_sweep(
     verify_cached: bool = False,
     retry: Optional[RetryPolicy] = None,
     quarantine: bool = False,
+    pool: Optional[WorkerPool] = None,
 ) -> SweepOutcome:
     """Execute every point of ``spec``; return results in spec order.
 
     ``workers=1`` runs the points in this process; ``workers > 1`` fans
     cache misses out over a process pool.  Results are collected per
-    point, so the output is identical at any worker count.  With a
+    point, so the output is identical at any worker count.  ``pool`` is
+    a :class:`WorkerPool` of size ``workers`` whose processes outlive
+    the call; without one the call builds its own, used by every retry
+    round and closed before it returns.  With a
     ``cache``, previously-computed points are served
     from disk and fresh results are stored back.  ``verify_cached=True``
     additionally recomputes every hit and insists on bit-identical output
@@ -358,6 +471,7 @@ def run_sweep(
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise ValueError(f"duplicate sweep point labels: {dupes}")
+    scope = pool_scope(pool, workers)
 
     started = time.monotonic()
     # Split keys: payload_json() assembles each point's canonical JSON
@@ -393,28 +507,30 @@ def run_sweep(
         to_verify = []
 
     retry = retry or RetryPolicy()
-    done, failures, rebuilds = _execute_batch(
-        pending + to_verify, workers, task_timeout
-    )
-    outcome.pool_rebuilds += rebuilds
-    first_errors = dict(failures)
-    attempt = 1
-    while failures and attempt < retry.max_attempts:
-        delay = retry.delay(attempt)
-        if delay > 0:
-            _sleep(delay)
-        attempt += 1
-        # Singleton chunks: each retried point runs in isolation, so a
-        # poisoned point cannot take healthy siblings down with it and
-        # every sibling's success is banked the moment it completes.
-        retry_done, failures, rebuilds = _execute_batch(
-            [(lbl, payloads[lbl]) for lbl in failures],
-            workers,
-            task_timeout,
-            chunk_size=1,
+    with scope as pool:
+        done, failures, rebuilds = _execute_batch(
+            pending + to_verify, pool, task_timeout
         )
         outcome.pool_rebuilds += rebuilds
-        done.update(retry_done)
+        first_errors = dict(failures)
+        attempt = 1
+        while failures and attempt < retry.max_attempts:
+            delay = retry.delay(attempt)
+            if delay > 0:
+                _sleep(delay)
+            attempt += 1
+            # Singleton chunks: each retried point runs in isolation, so
+            # a poisoned point cannot take healthy siblings down with it
+            # and every sibling's success is banked the moment it
+            # completes.
+            retry_done, failures, rebuilds = _execute_batch(
+                [(lbl, payloads[lbl]) for lbl in failures],
+                pool,
+                task_timeout,
+                chunk_size=1,
+            )
+            outcome.pool_rebuilds += rebuilds
+            done.update(retry_done)
     if failures:
         if not quarantine:
             detail = "; ".join(f"{lbl}: {err}" for lbl, err in failures.items())

@@ -68,6 +68,7 @@ def run_job(
     task_timeout: Optional[float] = None,
     verify_cached: bool = False,
     checkpoint=None,
+    pool=None,
 ) -> Tuple[Any, str]:
     """Run one parsed job on its runner with ``request.workers`` pool
     workers; return ``(outcome, digest)``.
@@ -78,7 +79,10 @@ def run_job(
     arguments are run settings and, like ``workers``, never enter the
     job's identity: ``verify_cached`` applies to sweeps and
     ``checkpoint`` (a :class:`~repro.cluster_scale.resilience.
-    CheckpointStore`) to cluster jobs.
+    CheckpointStore`) to cluster jobs.  ``pool`` is a
+    :class:`~repro.parallel.runner.WorkerPool` of size
+    ``request.workers`` that outlives the job (a service slot's);
+    without one the runner builds and closes its own.
     """
     if request.kind == "sweep":
         from repro.core.export import sweep_results_digest
@@ -90,6 +94,7 @@ def run_job(
         outcome = run_sweep(
             points, workers=request.workers, cache=cache,
             task_timeout=task_timeout, verify_cached=verify_cached,
+            pool=pool,
         )
         return outcome, sweep_results_digest(outcome.results)
     from repro.cluster_scale.runner import run_cluster_scale
@@ -103,6 +108,7 @@ def run_job(
         task_timeout=task_timeout,
         progress=progress,
         checkpoint=checkpoint,
+        pool=pool,
     )
     return result, result.digest()
 
@@ -113,9 +119,12 @@ def execute_job(
     store: JobStore,
     cache_root: Optional[str],
     progress: Optional[Callable[[str], None]] = None,
+    pool=None,
 ) -> Dict[str, Any]:
     """Run one claimed job to completion; persist result (and trace).
 
+    ``pool`` is the service slot's :class:`~repro.parallel.runner.
+    WorkerPool` (None for a ``workers=1`` job), passed to :func:`run_job`.
     Returns a small summary for the metrics endpoint:
     ``{"digest", "kind", "elapsed_s", "avg_p99_ms", "avg_busy_cores",
     "trace_events", "cache_stats"}``.  Exceptions propagate to the
@@ -125,7 +134,7 @@ def execute_job(
 
     notify = progress or (lambda message: None)
     cache = ResultCache(root=cache_root) if cache_root is not None else None
-    outcome, digest = run_job(request, cache, notify)
+    outcome, digest = run_job(request, cache, notify, pool=pool)
     if request.kind == "sweep":
         results = {
             label: server_result_to_dict(r) for label, r in outcome.results.items()

@@ -8,13 +8,21 @@ routes and a framework dependency would break the no-new-hard-deps rule.
 Concurrency model
 -----------------
 
-* The event loop owns sockets and routing; it never simulates.
-* ``service_workers`` asyncio tasks drain an :class:`asyncio.Queue` of
-  job ids.  Each claimed job runs :func:`~repro.service.executor
-  .execute_job` on a *daemon* thread, signalled back to the loop with an
-  :class:`asyncio.Event` — daemon threads (rather than a
-  ThreadPoolExecutor) so that when the shutdown grace period expires the
-  process can actually exit instead of joining a stuck simulation.
+* The event loop owns sockets and routing; it never simulates.  A
+  submission is parsed and hashed into its job id on an executor
+  thread, so a large sweep's id does not stall ``/healthz`` or polls.
+* ``service_workers`` asyncio tasks (slots) drain an
+  :class:`asyncio.Queue` of job ids.  Each claimed job runs
+  :func:`~repro.service.executor.execute_job` on a *daemon* thread,
+  signalled back to the loop with an :class:`asyncio.Event` — daemon
+  threads (rather than a ThreadPoolExecutor) so that when the shutdown
+  grace period expires the process can actually exit instead of joining
+  a stuck simulation.
+* A slot runs one job at a time and keeps one
+  :class:`~repro.parallel.runner.WorkerPool` across its jobs, built at
+  the first job that needs it and rebuilt when a job asks for another
+  ``workers``.  Concurrent jobs never share processes; a ``workers=1``
+  job runs in its thread.
 * ``service_workers=0`` is a valid degenerate service: jobs queue and
   persist but nothing executes — the tests use it to freeze jobs in the
   ``queued`` state.
@@ -23,6 +31,9 @@ Graceful shutdown (SIGTERM/SIGINT): stop accepting new submissions
 (503), let in-flight jobs finish within ``grace_s`` seconds, then mark
 everything unfinished ``queued`` on disk so the next process resumes it
 (:meth:`JobManager.requeue_unfinished` / :meth:`JobManager.recover`).
+Slot pools close with the service: an idle pool's workers are joined,
+and the workers of a job still running are killed, because interpreter
+exit would otherwise wait for their chunks.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.parallel.cache import DEFAULT_CACHE_DIR
+from repro.parallel.runner import WorkerPool
 from repro.service.executor import execute_job
 from repro.service.jobs import JobManager, JobStore, QueueFullError
 from repro.service.metrics import MetricsRegistry
@@ -82,6 +94,9 @@ class JobService:
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._worker_tasks: list = []
+        #: Slot -> its pool, and the slots with a job in flight.
+        self._pools: Dict[int, WorkerPool] = {}
+        self._running: set = set()
         self.bound_port: Optional[int] = None
 
     def _log(self, message: str) -> None:
@@ -137,6 +152,7 @@ class JobService:
             and asyncio.get_event_loop().time() < deadline
         ):
             await asyncio.sleep(0.05)
+        stuck = set(self._running)
         for task in self._worker_tasks:
             task.cancel()
         for task in self._worker_tasks:
@@ -144,6 +160,8 @@ class JobService:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
+        for slot, pool in self._pools.items():
+            pool.close(kill=slot in stuck)
         requeued = self.manager.requeue_unfinished()
         if requeued:
             self._log(
@@ -205,11 +223,14 @@ class JobService:
             if claimed is None:
                 continue
             record, request = claimed
+            pool = await self._slot_pool(slot, request.workers)
             self.metrics.busy_workers += 1
+            self._running.add(slot)
             done = asyncio.Event()
             outcome: Dict[str, Any] = {}
 
-            def _run(record=record, request=request, outcome=outcome, done=done):
+            def _run(record=record, request=request, outcome=outcome,
+                     done=done, pool=pool):
                 try:
                     outcome["summary"] = execute_job(
                         record,
@@ -219,11 +240,15 @@ class JobService:
                         progress=lambda m: self.manager.set_progress(
                             record.job_id, m
                         ),
+                        pool=pool,
                     )
                 except BaseException as exc:  # noqa: BLE001 - job isolation
                     outcome["error"] = f"{type(exc).__name__}: {exc}"
                 finally:
-                    loop.call_soon_threadsafe(done.set)
+                    try:
+                        loop.call_soon_threadsafe(done.set)
+                    except RuntimeError:  # the job outlived the service
+                        pass
 
             thread = threading.Thread(
                 target=_run, name=f"repro-job-{slot}", daemon=True
@@ -233,6 +258,7 @@ class JobService:
                 await done.wait()
             finally:
                 self.metrics.busy_workers -= 1
+                self._running.discard(slot)
             if "summary" in outcome:
                 summary = outcome["summary"]
                 if summary["cache_stats"] is not None:
@@ -246,6 +272,19 @@ class JobService:
             else:
                 self.manager.fail(record.job_id, outcome["error"])
                 self._log(f"job {record.job_id[:12]} failed: {outcome['error']}")
+
+    async def _slot_pool(self, slot: int, workers: int) -> Optional[WorkerPool]:
+        """The slot's pool for a job of ``workers``, kept across its jobs
+        and rebuilt when a job asks for another size; None for a
+        ``workers=1`` job, which runs in its thread."""
+        if workers <= 1:
+            return None
+        pool = self._pools.get(slot)
+        if pool is None or pool.workers != workers:
+            if pool is not None:  # joining its idle workers can take a while
+                await asyncio.get_running_loop().run_in_executor(None, pool.close)
+            pool = self._pools[slot] = WorkerPool(workers)
+        return pool
 
     # -- HTTP plumbing -------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -299,10 +338,10 @@ class JobService:
             if content_length
             else b""
         )
-        return self._route(method, target.split("?", 1)[0], body)
+        return await self._route(method, target.split("?", 1)[0], body)
 
     # -- routes --------------------------------------------------------
-    def _route(
+    async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, str], bytes]:
         def reply(status: int, payload: Any) -> Tuple[int, Dict[str, str], bytes]:
@@ -329,7 +368,7 @@ class JobService:
         if path == "/jobs":
             if method != "POST":
                 return reply(405, {"error": "method not allowed"})
-            return self._post_job(body, reply)
+            return await self._post_job(body, reply)
         if path.startswith("/jobs/"):
             if method != "GET":
                 return reply(405, {"error": "method not allowed"})
@@ -347,7 +386,7 @@ class JobService:
             return reply(404, {"error": f"unknown sub-resource {sub!r}"})
         return reply(404, {"error": f"no route for {path!r}"})
 
-    def _post_job(self, body: bytes, reply):
+    async def _post_job(self, body: bytes, reply):
         if self._draining:
             return reply(503, {"error": "service is draining"})
         try:
@@ -355,7 +394,11 @@ class JobService:
         except (ValueError, UnicodeDecodeError) as exc:
             return reply(400, {"error": f"body is not valid JSON: {exc}"})
         try:
-            record, created = self.manager.submit(parsed)
+            # A 4,096-point sweep's job id hashes for most of a second:
+            # off the loop, so every other request keeps being served.
+            record, created = await asyncio.get_running_loop().run_in_executor(
+                None, self.manager.submit, parsed
+            )
         except JobValidationError as exc:
             return reply(400, {"error": str(exc), "field": exc.field})
         except QueueFullError as exc:

@@ -303,9 +303,10 @@ def test_chunk_failure_is_isolated_to_guilty_point(monkeypatch):
     monkeypatch.setattr(runner_mod, "execute_payload", poisoned)
     spec = tiny_spec(n_systems=2, seeds=(0, 1))
     tasks = [(p.label, canonical_json(p.payload())) for p in spec.points()]
-    done, failed, rebuilds = runner_mod._execute_batch(
-        tasks, workers=2, task_timeout=None, chunk_size=2,
-    )
+    with runner_mod.WorkerPool(2) as pool:
+        done, failed, rebuilds = runner_mod._execute_batch(
+            tasks, pool, task_timeout=None, chunk_size=2,
+        )
     expected_failed = sorted(
         p.label for p in spec.points() if p.label.endswith("seed=1")
     )

@@ -113,6 +113,45 @@ def test_method_not_allowed(client):
     assert status == 405
 
 
+def test_healthz_answers_while_a_job_id_is_computed(service, monkeypatch):
+    """A submission's job id is hashed off the event loop: a slow one
+    leaves /healthz answering, then completes with 201."""
+    import threading
+    import time
+
+    import repro.service.jobs as jobs_mod
+
+    entered, release = threading.Event(), threading.Event()
+    real = jobs_mod.job_content_id
+
+    def slow_id(request):
+        entered.set()
+        release.wait(timeout=30)
+        return real(request)
+
+    monkeypatch.setattr(jobs_mod, "job_content_id", slow_id)
+    posted = {}
+
+    def post():
+        client = ServiceClient(port=service.port)
+        posted["status"], posted["body"] = client._request("POST", "/jobs", sweep_body())
+
+    poster = threading.Thread(target=post)
+    poster.start()
+    try:
+        assert entered.wait(timeout=10)
+        started = time.monotonic()
+        health = ServiceClient(port=service.port, timeout_s=1.0).healthz()
+        assert health["status"] == "ok"
+        assert time.monotonic() - started < 1.0
+        assert "status" not in posted
+    finally:
+        release.set()
+        poster.join(timeout=30)
+    assert posted["status"] == 201
+    assert posted["body"]["created"] is True
+
+
 # ---------------------------------------------------------------------------
 # The determinism contract over HTTP.
 # ---------------------------------------------------------------------------
