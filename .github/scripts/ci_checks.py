@@ -23,7 +23,8 @@ the CLI writes and asserts the same invariants explicitly:
   by at least ``--min-ratio`` (the data-plane warm-path gate).
 * ``service-stats FILE`` — the ``service_smoke.py`` record proves the
   API served digests byte-equal to the direct CLI, deduped duplicate
-  submissions, and exited 0 on SIGTERM.
+  submissions, exited 0 on SIGTERM, and left none of its child
+  processes (its slots' pool workers) alive.
 
 Exit code 0 on success; 1 with a diagnostic on the first violated
 invariant.
@@ -236,6 +237,16 @@ def check_service_stats(args: argparse.Namespace) -> int:
             f"{args.file}: server exited {record.get('server_exit')} on "
             f"SIGTERM, wanted 0; log tail:\n{record.get('server_log_tail')}"
         )
+    if record.get("server_children", 0) < 1:
+        return _fail(
+            f"{args.file}: no child process of the server was seen before "
+            "SIGTERM, so its slot pools were not checked"
+        )
+    if record.get("children_alive_after_exit") != 0:
+        return _fail(
+            f"{args.file}: {record.get('children_alive_after_exit')} of the "
+            f"server's {record['server_children']} child process(es) outlived it"
+        )
     if record.get("soak") and record.get("storm_unique_ids") != 1:
         return _fail(
             f"{args.file}: duplicate storm produced "
@@ -246,7 +257,8 @@ def check_service_stats(args: argparse.Namespace) -> int:
     print(f"OK: {args.file}: service digests match CLI "
           f"(sweep {record['sweep_digest_service'][:16]}…, "
           f"cluster {record['cluster_digest_service'][:16]}…), "
-          f"dedupe held, server exit 0")
+          f"dedupe held, server exit 0, none of its "
+          f"{record['server_children']} child process(es) left")
     return 0
 
 

@@ -13,7 +13,10 @@ subprocess (the real CLI, the real socket, the real signal path), then:
    rather than a cache echo;
 4. scrapes ``/metrics`` and saves the exposition text for
    ``ci_checks.py metrics-text``;
-5. SIGTERMs the server and requires a graceful exit 0.
+5. lists the server's child processes (its service slots' pool
+   workers, kept between jobs), SIGTERMs the server, requires a
+   graceful exit 0, and requires every one of those children to be
+   gone once it has exited.
 
 ``--soak`` (nightly) additionally submits a crash-storm fault-plan
 cluster job through the API plus a concurrent duplicate storm, and
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import glob
 import json
 import os
 import platform
@@ -97,6 +101,34 @@ def _cli_stats(command: list, stats_path: str) -> dict:
     )
     with open(stats_path) as fh:
         return json.load(fh)
+
+
+def _stat_fields(pid: str) -> list:
+    """Fields of ``/proc/<pid>/stat`` after the command name: state, ppid,
+    ...; empty when the process is gone (Linux only)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _children(pid: int) -> list:
+    """PIDs of ``pid``'s live children.  Each process's parent is read
+    from its ``stat``: ``/proc/<pid>/task/*/children`` would be shorter,
+    but not every kernel is built with it."""
+    out = []
+    for path in glob.glob("/proc/[0-9]*"):
+        fields = _stat_fields(os.path.basename(path))
+        if len(fields) > 1 and fields[1] == str(pid) and fields[0] != "Z":
+            out.append(int(os.path.basename(path)))
+    return sorted(out)
+
+
+def _alive(pid: int) -> bool:
+    """Running and not a zombie (an orphan's new parent may never reap)."""
+    fields = _stat_fields(str(pid))
+    return bool(fields) and fields[0] != "Z"
 
 
 def _metric_value(metrics_text: str, name: str) -> float:
@@ -228,9 +260,14 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
                 metrics_text, "repro_service_jobs_completed_total"
             )
 
-            # --- graceful SIGTERM ------------------------------------
+            # --- graceful SIGTERM, leaving no worker behind ----------
+            children = _children(proc.pid)
+            record["server_children"] = len(children)
             proc.send_signal(signal.SIGTERM)
             record["server_exit"] = proc.wait(timeout=90)
+            record["children_alive_after_exit"] = sum(
+                1 for pid in children if _alive(pid)
+            )
             record["server_log_tail"] = proc.stdout.read()[-2000:]
         finally:
             if proc.poll() is None:
@@ -242,6 +279,8 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
         and record.get("sweep_digests_equal")
         and record.get("cluster_digests_equal")
         and record.get("server_exit") == 0
+        and record.get("server_children", 0) >= 1
+        and record.get("children_alive_after_exit") == 0
         and (not soak or record.get("storm_unique_ids") == 1)
     )
     return record
@@ -286,7 +325,9 @@ def main(argv=None) -> int:
     print(f"cluster digests equal: {record['cluster_digests_equal']}")
     print(f"dedupe: same id {record['dedupe_same_id']}, "
           f"metrics deduped {record['metrics_deduped']}")
-    print(f"server exit: {record['server_exit']}")
+    print(f"server exit: {record['server_exit']}, "
+          f"{record['children_alive_after_exit']} of its "
+          f"{record['server_children']} child process(es) left")
     if not record["ok"]:
         print("service smoke FAILED", file=sys.stderr)
         return 1
