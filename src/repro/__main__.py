@@ -527,6 +527,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation-as-a-service HTTP job API (repro.service)."""
     from repro.service import JobService
+    from repro.service.spec import JobValidationError
+
+    for field, ok, rule in (
+        ("port", 0 <= args.port <= 65535, "in [0, 65535]"),
+        ("service_workers", args.service_workers >= 0, "at least 0"),
+        ("grace_s", args.grace_s >= 0, "at least 0"),
+        ("max_queue", args.max_queue >= 1, "at least 1"),
+        ("job_ttl_s", args.job_ttl_s is None or args.job_ttl_s > 0,
+         "greater than 0"),
+    ):
+        if not ok:
+            flag = "--" + field.replace("_", "-")
+            raise JobValidationError(field, f"{flag} must be {rule}, got {getattr(args, field)}")
 
     service = JobService(
         host=args.host,
@@ -550,22 +563,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and manage the content-addressed result cache."""
     from repro.parallel import ResultCache
+    from repro.service.jobs import JobStore, prune_job_records
 
     cache = ResultCache(root=args.cache_dir)
+    store = JobStore(args.cache_dir)
     pruned = 0
     if args.prune_stale:
         pruned = cache.prune_stale()
         print(f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'}")
     pruned_jobs = 0
     if args.prune_jobs is not None:
-        from repro.service.jobs import JobStore, prune_job_records
-
-        pruned_jobs = prune_job_records(
-            JobStore(args.cache_dir), args.prune_jobs
-        )
+        pruned_jobs = prune_job_records(store, args.prune_jobs)
         print(f"pruned {pruned_jobs} terminal job record(s) older than "
               f"{args.prune_jobs:.0f}s")
-    disk = cache.disk_stats()
+    disk = {**cache.disk_stats(), "jobs": len(store.job_ids())}
     print(f"cache [{args.cache_dir}] version {cache.version}:")
     print(f"  entries        {disk['entries']:8d} "
           f"({disk['bytes'] / 1024:.1f} KB)")
@@ -848,9 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--job-ttl-s", type=float, default=None,
                       help="evict terminal (done/failed) job records and "
                            "their .result/.trace files this many seconds "
-                           "after they finish (default: keep forever; "
-                           "simulation results stay in the result cache "
-                           "either way)")
+                           "(> 0) after they finish (default: keep "
+                           "forever; simulation results stay in the "
+                           "result cache either way)")
     p_sv.set_defaults(func=cmd_serve)
 
     p_ca = sub.add_parser(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -361,8 +362,9 @@ class ResultCache:
             return
         for shard in sorted(os.listdir(self.root)):
             shard_dir = os.path.join(self.root, shard)
-            # "jobs" holds repro.service job records, not cache entries.
-            if shard == "jobs" or not os.path.isdir(shard_dir):
+            # A shard is named by its keys' first two hex digits; other
+            # directories under the root (the job store) are not the cache's.
+            if not re.fullmatch("[0-9a-f]{2}", shard) or not os.path.isdir(shard_dir):
                 continue
             try:
                 names = sorted(os.listdir(shard_dir))
@@ -401,16 +403,15 @@ class ResultCache:
     def disk_stats(self) -> Dict[str, Any]:
         """Walk the cache directory and summarize what is on disk.
 
-        Returns ``entries`` / ``bytes`` / ``current`` / ``stale`` counts,
-        ``by_version`` and ``by_format`` breakdowns (unreadable entries
-        count under ``"<corrupt>"``), and the number of service job
-        records under ``<root>/jobs`` — the payload behind
+        Returns ``entries`` / ``bytes`` / ``current`` / ``stale`` counts
+        and ``by_version`` and ``by_format`` breakdowns (unreadable
+        entries count under ``"<corrupt>"``) — the payload behind
         ``python -m repro cache``.  Entries deleted concurrently during
         the walk are skipped, not miscounted.
         """
         stats: Dict[str, Any] = {
             "entries": 0, "bytes": 0, "current": 0, "stale": 0,
-            "by_version": {}, "by_format": {}, "jobs": 0,
+            "by_version": {}, "by_format": {},
         }
         for path in self._entry_paths():
             try:
@@ -441,15 +442,6 @@ class ResultCache:
                 stats["by_version"].get(version, 0) + 1
             )
             stats["by_format"][fmt] = stats["by_format"].get(fmt, 0) + 1
-        jobs_dir = os.path.join(self.root, "jobs")
-        try:
-            stats["jobs"] = sum(
-                1 for n in os.listdir(jobs_dir)
-                if n.endswith(".json")
-                and not n.endswith((".result.json", ".trace.json"))
-            )
-        except FileNotFoundError:
-            pass
         return stats
 
     def __len__(self) -> int:

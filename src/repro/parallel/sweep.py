@@ -183,7 +183,7 @@ def clear_fragment_memo() -> None:
 
 #: The most points (systems x seeds) one sweep may hold.  A sweep's
 #: identity hashes every point, so a larger one would stall whoever
-#: computes it (the service's event loop, for one).
+#: computes it (a service connection's thread, for one).
 MAX_SWEEP_POINTS = 4096
 
 

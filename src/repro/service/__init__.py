@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: an async HTTP job API over the runners.
+"""Simulation-as-a-service: an HTTP job API over the runners.
 
 Submit a :class:`~repro.config.SimulationConfig` sweep or a
 :class:`~repro.cluster_scale.spec.ClusterScaleConfig` run as JSON, get a
@@ -11,12 +11,14 @@ Prometheus metrics.  ``python -m repro serve`` starts it; see
 * :mod:`repro.service.jobs` — persistent records, store, JobManager;
 * :mod:`repro.service.executor` — bridges claimed jobs onto the runners;
 * :mod:`repro.service.metrics` — Prometheus text exposition;
-* :mod:`repro.service.http` — asyncio front end + graceful shutdown;
+* :mod:`repro.service.http` — threaded HTTP front end, job slots and
+  graceful shutdown;
 * :mod:`repro.service.client` — stdlib client used by tests and CI.
 
 Names are exported lazily: ``from repro.service import parse_job_request``
 imports only :mod:`repro.service.spec`, so the CLI, which parses every
-command through the job spec, does not load asyncio or the HTTP server.
+command through the job spec, does not load ``http.server`` or the
+service's HTTP front end.
 """
 
 import importlib

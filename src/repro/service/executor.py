@@ -1,7 +1,7 @@
 """Job execution: bridge one claimed job onto the hardened runners.
 
-This is plain synchronous code — the HTTP layer runs it on a worker
-thread so the event loop never blocks.  Each job gets its *own*
+This is plain synchronous code — each service slot runs it on the
+slot's own thread.  Each job gets its *own*
 :class:`ResultCache` instance over the shared cache root: the on-disk
 store is concurrency-safe (atomic writes, content-addressed), but the
 per-instance hit/miss counters are not, so per-job instances keep the

@@ -11,12 +11,14 @@ pick up exactly where it stopped:
   job completes (completed work survives restarts for free);
 * ``<job_id>.trace.json`` — the Perfetto trace, when telemetry was on.
 
-State machine: ``queued -> running -> done | failed``.  On startup
-:meth:`JobManager.recover` folds any ``running`` record back to
-``queued`` (the process died mid-job) and re-enqueues all queued work in
-original submission order.  :meth:`JobManager.requeue_unfinished` does
-the same at shutdown so jobs still in flight when the grace period
-expires are resumed by the next process rather than lost.
+State machine: ``queued -> running -> done | failed``.  The manager
+holds the only queue of pending jobs; :meth:`JobManager.next_job` claims
+the oldest.  On startup :meth:`JobManager.recover` folds any ``running``
+record back to ``queued`` (the process died mid-job) and re-enqueues all
+queued work in original submission order.
+:meth:`JobManager.requeue_unfinished` does the same at shutdown so jobs
+still in flight when the grace period expires are resumed by the next
+process rather than lost.
 
 Dedupe contract: the job id *is* the content hash of the job's identity
 (:func:`repro.service.spec.job_content_id`), so concurrent clients
@@ -75,6 +77,13 @@ class JobRecord:
         known = {f for f in cls.__dataclass_fields__ if f != "progress"}
         return cls(**{k: v for k, v in data.items() if k in known})
 
+    def expired(self, ttl_s: float, now: float) -> bool:
+        """The TTL rule: terminal (done/failed), and finished — else
+        submitted — at least ``ttl_s`` seconds before ``now``."""
+        if self.state not in ("done", "failed"):
+            return False
+        return now - (self.finished_s or self.submitted_s or 0.0) >= ttl_s
+
     def status_dict(self) -> Dict[str, Any]:
         """What ``GET /jobs/{id}`` returns."""
         return {
@@ -118,19 +127,22 @@ class JobStore:
         except (OSError, ValueError, TypeError, KeyError):
             return None
 
+    def job_ids(self) -> List[str]:
+        """The id of every record file on disk (readable or not), sorted;
+        ``.result``/``.trace`` siblings are not records."""
+        try:
+            names = os.listdir(self.root)
+        except FileNotFoundError:
+            return []
+        return sorted(
+            name[: -len(".json")] for name in names
+            if name.endswith(".json")
+            and not name.endswith((".result.json", ".trace.json"))
+        )
+
     def load_all(self) -> List[JobRecord]:
         """Every readable job record, oldest submission first."""
-        if not os.path.isdir(self.root):
-            return []
-        records = []
-        for name in sorted(os.listdir(self.root)):
-            if not name.endswith(".json") or name.endswith(
-                (".result.json", ".trace.json")
-            ):
-                continue
-            record = self.load(name[: -len(".json")])
-            if record is not None:
-                records.append(record)
+        records = [r for r in map(self.load, self.job_ids()) if r is not None]
         records.sort(key=lambda r: (r.submitted_s, r.job_id))
         return records
 
@@ -172,16 +184,20 @@ class JobStore:
 class JobManager:
     """Thread-safe job table with bounded admission and content dedupe.
 
-    The manager owns all state transitions; the HTTP layer and the worker
-    pool only ever call its methods.  Every mutation persists the record
-    through the :class:`JobStore` before returning, so the on-disk view
-    is never newer than the in-memory one.
+    The manager owns all state transitions and the queue of pending jobs;
+    the HTTP layer and the job slots only ever call its methods.  Every
+    mutation persists the record through the :class:`JobStore` before
+    returning, so the on-disk view is never newer than the in-memory one.
     """
 
     def __init__(self, store: JobStore, max_queue: int = 64):
         self.store = store
         self.max_queue = max_queue
-        self._lock = threading.Lock()
+        #: Reentrant so that next_job() can claim() while it holds it.
+        self._lock = threading.RLock()
+        #: Notified when a job is queued or the manager closes.
+        self._queued = threading.Condition(self._lock)
+        self._closed = False
         self.jobs: Dict[str, JobRecord] = {}
         self._pending: Deque[str] = deque()
         # Service-lifetime counters (exported by /metrics).
@@ -237,13 +253,29 @@ class JobManager:
             self.submitted += 1
             self._pending.append(job_id)
             self.store.save(record)
+            self._queued.notify()
             return record, True
 
-    # -- worker-side transitions --------------------------------------
-    def claim(self, job_id: str) -> Optional[Tuple[JobRecord, JobRequest]]:
-        """Move a queued job to ``running``; None if it is not claimable
-        (already ran, or its persisted request no longer parses)."""
+    # -- slot-side transitions ----------------------------------------
+    def next_job(self) -> Optional[Tuple[JobRecord, JobRequest]]:
+        """Block until a job is queued, then claim the oldest (see
+        :meth:`claim`); None once the manager is closed."""
         with self._lock:
+            while True:
+                self._queued.wait_for(lambda: self._pending or self._closed)
+                if self._closed:
+                    return None
+                claimed = self.claim(self._pending[0])
+                if claimed is not None:
+                    return claimed
+
+    def claim(self, job_id: str) -> Optional[Tuple[JobRecord, JobRequest]]:
+        """Take a job off the queue and move it to ``running``; None if it
+        is not claimable (already ran, or its persisted request no longer
+        parses)."""
+        with self._lock:
+            if job_id in self._pending:
+                self._pending.remove(job_id)
             record = self.jobs.get(job_id)
             if record is None or record.state != "queued":
                 return None
@@ -263,25 +295,40 @@ class JobManager:
             self.store.save(record)
             return record, request
 
-    def finish(self, job_id: str, digest: str) -> None:
+    def close(self) -> None:
+        """Stop handing out jobs: :meth:`next_job` returns None, and
+        :meth:`finish` and :meth:`fail` record nothing (and return False),
+        so a job still running at shutdown stays unfinished for
+        :meth:`requeue_unfinished`."""
         with self._lock:
+            self._closed = True
+            self._queued.notify_all()
+
+    def finish(self, job_id: str, digest: str) -> bool:
+        """Record a job's success; False if nothing was recorded."""
+        with self._lock:
+            if self._closed:
+                return False
             record = self.jobs[job_id]
             record.state = "done"
             record.digest = digest
             record.finished_s = time.time()
             self.completed += 1
             self.store.save(record)
+            return True
 
-    def fail(self, job_id: str, error: str) -> None:
+    def fail(self, job_id: str, error: str) -> bool:
+        """Record a job's failure; False if nothing was recorded."""
         with self._lock:
             record = self.jobs.get(job_id)
-            if record is None:
-                return
+            if record is None or self._closed:
+                return False
             record.state = "failed"
             record.error = error
             record.finished_s = time.time()
             self.failed += 1
             self.store.save(record)
+            return True
 
     def set_progress(self, job_id: str, message: str) -> None:
         record = self.jobs.get(job_id)
@@ -300,14 +347,14 @@ class JobManager:
 
     # -- TTL eviction --------------------------------------------------
     def evict_expired(self, ttl_s: float, now: Optional[float] = None) -> List[str]:
-        """Drop terminal (done/failed) jobs older than ``ttl_s`` seconds.
+        """Drop terminal jobs past their TTL (:meth:`JobRecord.expired`).
 
-        Age is measured from ``finished_s``.  Eviction removes the job
-        record and its ``.result``/``.trace`` files and forgets the id,
-        so a later identical submission runs as a fresh job — but its
-        simulation results still hit the ResultCache, so eviction never
-        costs recomputation, only job-table memory and job-store disk.
-        Returns the evicted ids (oldest first).
+        Eviction removes the job record and its ``.result``/``.trace``
+        files and forgets the id, so a later identical submission runs as
+        a fresh job — but its simulation results still hit the
+        ResultCache, so eviction never costs recomputation, only
+        job-table memory and job-store disk.  Returns the evicted ids
+        (oldest first).
         """
         now = time.time() if now is None else now
         evicted: List[str] = []
@@ -316,10 +363,7 @@ class JobManager:
                 self.jobs.items(),
                 key=lambda kv: kv[1].finished_s or kv[1].submitted_s,
             ):
-                if record.state not in ("done", "failed"):
-                    continue
-                finished = record.finished_s or record.submitted_s
-                if now - finished < ttl_s:
+                if not record.expired(ttl_s, now):
                     continue
                 self.store.delete(job_id)
                 del self.jobs[job_id]
@@ -346,6 +390,7 @@ class JobManager:
                     self._pending.append(record.job_id)
                     to_run.append(record.job_id)
                     self.resumed += 1
+            self._queued.notify_all()
         return to_run
 
     def requeue_unfinished(self) -> List[str]:
@@ -361,10 +406,6 @@ class JobManager:
         return requeued
 
     # -- introspection -------------------------------------------------
-    def pop_pending(self) -> Optional[str]:
-        with self._lock:
-            return self._pending.popleft() if self._pending else None
-
     def get(self, job_id: str) -> Optional[JobRecord]:
         return self.jobs.get(job_id)
 
@@ -393,18 +434,15 @@ def prune_job_records(
 ) -> int:
     """Offline TTL sweep over a job store (``repro cache --prune-jobs``).
 
-    Same policy as :meth:`JobManager.evict_expired`, but driven from the
-    on-disk records so it works without a running service.  Only terminal
-    (done/failed) records are touched; queued/running jobs belong to a
-    live or resumable service and are left alone.  Returns the number of
+    Same rule as :meth:`JobManager.evict_expired`
+    (:meth:`JobRecord.expired`), but driven from the on-disk records so it
+    works without a running service; queued/running jobs belong to a live
+    or resumable service and are left alone.  Returns the number of
     records removed.
     """
     now = time.time() if now is None else now
     removed = 0
     for record in store.load_all():
-        if record.state not in ("done", "failed"):
-            continue
-        finished = record.finished_s or record.submitted_s or 0.0
-        if now - finished >= ttl_s and store.delete(record.job_id):
+        if record.expired(ttl_s, now) and store.delete(record.job_id):
             removed += 1
     return removed

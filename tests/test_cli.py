@@ -301,6 +301,27 @@ def test_cache_prune_never_touches_job_records(capsys, tmp_path):
     assert (jobs_dir / "abc.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--port", "70000", "port"),
+    ("--port", "-1", "port"),
+    ("--service-workers", "-1", "service_workers"),
+    ("--grace-s", "-0.5", "grace_s"),
+    ("--max-queue", "0", "max_queue"),
+    ("--job-ttl-s", "0", "job_ttl_s"),
+])
+def test_serve_rejects_an_out_of_range_flag_before_binding(flag, value, field,
+                                                           capsys, monkeypatch):
+    from repro.service.http import JobService
+
+    def bound(self):
+        raise AssertionError("the service started")
+
+    monkeypatch.setattr(JobService, "run", bound)
+    assert main(["serve", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid field {field!r}" in err and flag in err
+
+
 def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve"])
     assert args.port == 8023

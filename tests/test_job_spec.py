@@ -45,7 +45,7 @@ def test_importing_the_spec_loads_neither_the_server_nor_the_store():
     code = (
         "import sys\n"
         "import repro.service.spec\n"
-        "heavy = ('asyncio', 'repro.service.http', 'repro.service.jobs')\n"
+        "heavy = ('asyncio', 'http.server', 'repro.service.http', 'repro.service.jobs')\n"
         "print([m for m in heavy if m in sys.modules])\n"
         "import repro.service\n"
         "print([n for n in repro.service.__all__ if getattr(repro.service, n) is None])\n"

@@ -1,16 +1,22 @@
 """End-to-end tests against a live in-thread service instance.
 
-Each test gets a real socket (ephemeral port), the real asyncio front
+Each test gets a real socket (ephemeral port), the real threaded front
 end, and a scratch cache directory.  The headline assertions are the
 tentpole's acceptance criteria: digests served over HTTP are byte-equal
 to the direct runners, duplicate submissions dedupe, queued jobs survive
 a restart, and /metrics is valid Prometheus exposition text.
 """
 
+import os
 import re
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.config import SimulationConfig
 from repro.service import ServiceClient, ServiceError, start_in_thread
 
@@ -114,8 +120,8 @@ def test_method_not_allowed(client):
 
 
 def test_healthz_answers_while_a_job_id_is_computed(service, monkeypatch):
-    """A submission's job id is hashed off the event loop: a slow one
-    leaves /healthz answering, then completes with 201."""
+    """A submission's job id is hashed on its own connection's thread: a
+    slow one leaves /healthz answering, then completes with 201."""
     import threading
     import time
 
@@ -150,6 +156,98 @@ def test_healthz_answers_while_a_job_id_is_computed(service, monkeypatch):
         poster.join(timeout=30)
     assert posted["status"] == 201
     assert posted["body"]["created"] is True
+
+
+@pytest.mark.parametrize("raw,half_close", [
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", False),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: many\r\n\r\n", False),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", False),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", False),
+    (b"GET /healthz HTTP/one\r\n\r\n", False),
+    (b"GET /healthz HTTP/1.1\r\n", False),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"kind\": ", False),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"kind\": ", True),
+], ids=["negative-length", "non-integer-length", "oversized-length",
+        "70kb-header-line", "bad-request-line", "no-blank-line-stalled",
+        "short-body-stalled", "short-body-closed"])
+def test_malformed_or_stalled_request_gets_4xx_or_a_closed_socket(
+    service, client, monkeypatch, raw, half_close
+):
+    """Each ends in a 4xx with a JSON error, or the server closing the
+    socket within its read timeout; the service keeps answering and no
+    job record is written."""
+    import json
+    import time
+
+    import repro.service.http as http_mod
+
+    monkeypatch.setattr(http_mod._Handler, "timeout", 0.5)
+    started = time.monotonic()
+    reply = b""
+    with socket.create_connection(("127.0.0.1", service.port), timeout=5.0) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        except ConnectionResetError:  # closed with our input unread
+            pass
+    if reply:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert re.match(rb"HTTP/1\.[01] 4\d\d ", head), head[:60]
+        assert json.loads(body)["error"]
+    else:
+        assert time.monotonic() - started < 3.0
+    assert client.healthz()["status"] == "ok"
+    jobs_dir = service.service.store.root
+    assert not os.path.isdir(jobs_dir) or not os.listdir(jobs_dir)
+
+
+def test_stop_does_not_wait_for_a_stalled_connection(tmp_path):
+    """A client that stops mid-request holds its own thread, not the
+    shutdown: stop() returns long before the 30 s read timeout."""
+    import time
+
+    handle = start_in_thread(cache_dir=str(tmp_path / "cache"), service_workers=0)
+    with socket.create_connection(("127.0.0.1", handle.port)) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+        time.sleep(0.2)  # the handler thread is now waiting for headers
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 5.0
+
+
+def test_sigterm_stops_a_server_whose_log_reader_has_gone(tmp_path):
+    """The reader of the server's standard output closes it after the
+    listening line; SIGTERM must still shut the server down cleanly."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--service-workers", "1", "--grace-s", "1",
+         "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        line = proc.stdout.readline().decode()
+        assert "listening on http://" in line
+        proc.stdout.close()
+        port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+        assert ServiceClient(port=port).healthz()["status"] == "ok"
+        proc.send_signal(signal.SIGTERM)
+        try:
+            code = proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            pytest.fail("server still running 15 s after SIGTERM")
+        assert code == 0, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 # ---------------------------------------------------------------------------

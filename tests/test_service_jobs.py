@@ -2,6 +2,9 @@
 job store, and JobManager state machine (no sockets involved)."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -237,7 +240,6 @@ class TestJobManager:
     def test_claim_finish_cycle_persists(self, tmp_path):
         manager = self.make(tmp_path)
         record, _ = manager.submit(sweep_body())
-        manager.pop_pending()
         claimed, request = manager.claim(record.job_id)
         assert claimed.state == "running"
         assert request.kind == "sweep"
@@ -251,7 +253,6 @@ class TestJobManager:
     def test_failed_job_resubmission_requeues(self, tmp_path):
         manager = self.make(tmp_path)
         record, _ = manager.submit(sweep_body())
-        manager.pop_pending()
         manager.claim(record.job_id)
         manager.fail(record.job_id, "boom")
         assert manager.get(record.job_id).state == "failed"
@@ -263,7 +264,6 @@ class TestJobManager:
         manager = self.make(tmp_path)
         queued, _ = manager.submit(sweep_body(seeds="0"))
         running, _ = manager.submit(sweep_body(seeds="1"))
-        manager.pop_pending(), manager.pop_pending()
         manager.claim(queued.job_id)
         manager.finish(queued.job_id, "d")
         manager.claim(running.job_id)  # dies mid-job here
@@ -278,10 +278,41 @@ class TestJobManager:
     def test_requeue_unfinished_marks_running_queued(self, tmp_path):
         manager = self.make(tmp_path)
         record, _ = manager.submit(sweep_body())
-        manager.pop_pending()
         manager.claim(record.job_id)
         assert manager.requeue_unfinished() == [record.job_id]
         assert manager.store.load(record.job_id).state == "queued"
+
+    def test_next_job_claims_the_oldest_and_none_once_closed(self, tmp_path):
+        manager = self.make(tmp_path)
+        first, _ = manager.submit(sweep_body(seeds="0"))
+        second, _ = manager.submit(sweep_body(seeds="1"))
+        claimed, request = manager.next_job()
+        assert claimed.job_id == first.job_id and claimed.state == "running"
+        assert manager.store.load(first.job_id).state == "running"
+        assert manager.queue_depth() == 1
+        assert manager.next_job()[0].job_id == second.job_id
+
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(manager.next_job()))
+        waiter.start()  # blocks on the empty queue until a submission
+        third, _ = manager.submit(sweep_body(seeds="2"))
+        waiter.join(timeout=10)
+        assert not waiter.is_alive() and got[0][0].job_id == third.job_id
+
+        waiter = threading.Thread(target=lambda: got.append(manager.next_job()))
+        waiter.start()
+        manager.close()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive() and got[1] is None
+        # After close() an outcome records nothing: requeue_unfinished
+        # puts the job back for the next process.
+        manager.finish(first.job_id, "d")
+        manager.fail(second.job_id, "boom")
+        assert manager.store.load(first.job_id).state == "running"
+        assert manager.get(second.job_id).state == "running"
+        assert set(manager.requeue_unfinished()) == {
+            first.job_id, second.job_id, third.job_id
+        }
 
     def test_counts_by_state(self, tmp_path):
         manager = self.make(tmp_path)
@@ -289,6 +320,41 @@ class TestJobManager:
         counts = manager.counts()
         assert counts["queued"] == 1
         assert counts["done"] == 0
+
+
+def test_concurrent_slots_claim_every_job_exactly_once(tmp_path):
+    """Eight slots claim from a stream of submissions with a short switch
+    interval: each job is claimed once, and close() releases every slot."""
+    manager = JobManager(JobStore(str(tmp_path)), max_queue=64)
+    claimed, lock = [], threading.Lock()
+
+    def slot():
+        while True:
+            job = manager.next_job()
+            if job is None:
+                return
+            with lock:
+                claimed.append(job[0].job_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    slots = [threading.Thread(target=slot) for _ in range(8)]
+    try:
+        for thread in slots:
+            thread.start()
+        ids = [manager.submit(sweep_body(seeds=str(seed)))[0].job_id
+               for seed in range(40)]
+        deadline = time.monotonic() + 30
+        while len(claimed) < len(ids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        manager.close()
+        for thread in slots:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in slots)
+    assert sorted(claimed) == sorted(ids) == sorted(manager.executions)
+    assert manager.queue_depth() == 0
 
 
 def test_job_record_rejects_future_fields_gracefully():
