@@ -25,6 +25,8 @@ the CLI writes and asserts the same invariants explicitly:
   API served digests byte-equal to the direct CLI, deduped duplicate
   submissions, exited 0 on SIGTERM, and left none of its child
   processes (its slots' pool workers) alive.
+* ``trace-ticks FILE`` — an exported Perfetto ``trace.json`` holds the
+  software agent's ticks on its server track.
 
 Exit code 0 on success; 1 with a diagnostic on the first violated
 invariant.
@@ -262,6 +264,16 @@ def check_service_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def check_trace_ticks(args: argparse.Namespace) -> int:
+    events = _load(args.file).get("traceEvents", [])
+    ticks = [ev for ev in events
+             if ev.get("ph") == "i" and ev.get("name") == "agent tick"]
+    if not ticks:
+        return _fail(f"{args.file}: no agent tick on the server track")
+    print(f"OK: {args.file}: {len(ticks)} agent tick(s) on the server track")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -307,6 +319,11 @@ def main(argv=None) -> int:
                        help="assert the service-smoke record's invariants")
     p.add_argument("file")
     p.set_defaults(func=check_service_stats)
+
+    p = sub.add_parser("trace-ticks",
+                       help="assert a Perfetto trace holds agent ticks")
+    p.add_argument("file")
+    p.set_defaults(func=check_trace_ticks)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro.core.ioutil import atomic_open
+from repro.core import ioutil
 from repro.faults.spec import ClientPolicy, FaultKind, FaultSchedule, FaultSpec
-from repro.parallel.cache import canonical_json
 
 
 # ---------------------------------------------------------------------------
@@ -474,28 +472,22 @@ def cluster_run_key(system, sim, cfg, batch_jobs) -> str:
         "batch_jobs": [dataclasses.asdict(job) for job in batch_jobs],
         "version": repro.__version__,
     }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
+    digest = hashlib.sha256(ioutil.canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()[:16]
-
-
-def _entry_stamp(entry: dict) -> str:
-    """sha256 over the canonical JSON of everything except the stamp."""
-    body = {key: value for key, value in entry.items() if key != "sha256"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 @dataclass
 class CheckpointStore:
     """Digest-stamped per-epoch checkpoints for one cluster-scale run.
 
-    One JSON file per completed epoch under ``<root>/<run_key>/``,
-    written atomically (temp + rename) at the epoch barrier.  Each file
-    carries the epoch's full serialized result, the exact post-barrier
-    state (harvest allocation, routing carryover, health cool-downs), and
-    a sha256 stamp over its own content.  :meth:`load` replays the longest
-    valid consecutive prefix; the first missing/corrupt/mismatched file
-    ends the replay with a warning — a damaged checkpoint can downgrade a
-    resume to a (correct) colder start, never corrupt its results.
+    One stamped record (:func:`repro.core.ioutil.write_record`) per
+    completed epoch under ``<root>/<run_key>/``, written at the epoch
+    barrier: the epoch's full serialized result and the exact
+    post-barrier state (harvest allocation, routing carryover, health
+    cool-downs).  :meth:`load` replays the longest valid consecutive
+    prefix; the first missing/corrupt/mismatched file ends the replay
+    with a warning — a damaged checkpoint can downgrade a resume to a
+    (correct) colder start, never corrupt its results.
     """
 
     root: str
@@ -517,18 +509,15 @@ class CheckpointStore:
 
     def save(self, epoch: int, epoch_result: dict, state: dict) -> str:
         """Persist one epoch's result + barrier state; returns the path."""
-        entry = {
+        path = self.path(epoch)
+        ioutil.write_record(path, {
             "format": CHECKPOINT_FORMAT,
             "version": self.version,
             "run_key": self.run_key,
             "epoch": epoch,
             "epoch_result": epoch_result,
             "state": state,
-        }
-        entry["sha256"] = _entry_stamp(entry)
-        path = self.path(epoch)
-        with atomic_open(path) as fh:
-            json.dump(entry, fh)
+        })
         return path
 
     def load_epoch(self, epoch: int) -> Optional[dict]:
@@ -536,39 +525,19 @@ class CheckpointStore:
         anything other than a clean miss)."""
         path = self.path(epoch)
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except FileNotFoundError:
+            entry = ioutil.read_record(path)
+        except ioutil.RecordError as exc:
+            self._warn(f"{path} {exc}; ignoring it")
             return None
-        except (ValueError, OSError) as exc:
-            self._warn(f"{path} is unreadable ({exc}); ignoring it")
+        if entry is None:
             return None
-        if not isinstance(entry, dict) or "sha256" not in entry:
-            self._warn(f"{path} is not a checkpoint entry; ignoring it")
-            return None
-        if entry.get("format") != CHECKPOINT_FORMAT:
-            self._warn(
-                f"{path} has checkpoint format {entry.get('format')!r}, "
-                f"expected {CHECKPOINT_FORMAT}; ignoring it"
-            )
-            return None
-        if entry.get("version") != self.version:
-            self._warn(
-                f"{path} was written by version {entry.get('version')!r}, "
-                f"this is {self.version}; ignoring it"
-            )
-            return None
-        if entry.get("run_key") != self.run_key:
-            self._warn(f"{path} belongs to a different run; ignoring it")
-            return None
-        if entry.get("epoch") != epoch:
-            self._warn(f"{path} records epoch {entry.get('epoch')!r}; "
-                       f"expected {epoch}; ignoring it")
-            return None
-        if _entry_stamp(entry) != entry["sha256"]:
-            self._warn(f"{path} failed its digest check (truncated or "
-                       "corrupt); ignoring it")
-            return None
+        for key, expected in (("format", CHECKPOINT_FORMAT),
+                              ("version", self.version),
+                              ("run_key", self.run_key), ("epoch", epoch)):
+            if entry.get(key) != expected:
+                self._warn(f"{path} has {key} {entry.get(key)!r}, expected "
+                           f"{expected!r}; ignoring it")
+                return None
         return entry
 
     def load(self, max_epochs: int) -> Tuple[List[dict], Optional[dict]]:

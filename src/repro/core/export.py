@@ -19,11 +19,12 @@ tracking); these helpers give them stable, flat file formats:
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from typing import Dict, Iterable, List
 
 from repro.cluster.server import ServerSimulation
-from repro.core.ioutil import atomic_open
+from repro.core.ioutil import atomic_open, canonical_json
 from repro.core.metrics import ServerResult
 from repro.sim.stats import Breakdown
 
@@ -152,12 +153,6 @@ def sweep_results_digest(results: Dict[str, ServerResult]) -> str:
     Labels participate (they carry system name and seed), wall time and
     cache provenance do not.
     """
-    import hashlib
-
-    # Imported here, not at module top: repro.parallel imports this
-    # module for the lossless codec.
-    from repro.parallel.cache import canonical_json
-
     payload = {label: server_result_to_dict(r) for label, r in results.items()}
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 

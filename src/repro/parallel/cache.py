@@ -29,25 +29,27 @@ Storage formats — both live under ``<root>/<key[:2]>/<key>.json``:
   transparently, so a directory written by an older release keeps
   hitting after an upgrade.
 
-Every lookup reads the disk entry.  Writes go to a temp file in the same
-directory followed by :func:`os.replace`, so concurrent writers (e.g. two
-pytest workers racing on the same point) can never leave a torn file —
-last writer wins, and both wrote identical bytes anyway because runs are
-deterministic.
+Every lookup reads the disk entry.  Writes go through
+:func:`repro.core.ioutil.write_bytes`, so a crash, a full disk or two
+writers racing on one point never leave a torn entry (last writer wins,
+with identical bytes, as runs are deterministic); an entry that fails to
+inflate (zlib checks v2 streams) is a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import repro
+from repro.core import ioutil
+from repro.core.ioutil import canonical_json
 
 #: Default cache location, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -149,11 +151,6 @@ def _decode_v1(blob: bytes) -> Dict[str, Any]:
     return entry
 
 
-def canonical_json(obj: Any) -> str:
-    """Stable serialization: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
-
-
 @dataclass
 class CacheStats:
     """Counters for one :class:`ResultCache` instance's lifetime."""
@@ -224,28 +221,22 @@ class ResultCache:
         return V2_MAGIC + _v2_compress(body.encode("utf-8"))
 
     @staticmethod
-    def _decode_result(blob: bytes) -> Tuple[str, Dict[str, Any]]:
-        """(version, result) from an entry blob; payload is not parsed."""
+    def _decode(blob: bytes, payload: bool = False) -> Dict[str, Any]:
+        """``{version, payload, result}`` of an entry blob, either format;
+        a v2 entry's payload is parsed only when ``payload`` is true (else
+        None), so a warm :meth:`get` never parses it."""
         if blob.startswith(V2_MAGIC):
             body = _v2_decompress(blob[len(V2_MAGIC):]).decode("utf-8")
             version, sep, rest = body.partition("\n")
-            _, sep2, result_json = rest.partition("\n")
+            payload_json, sep2, result_json = rest.partition("\n")
             if not sep or not sep2:
                 raise ValueError("truncated v2 cache entry")
-            return version, json.loads(result_json)
-        entry = _decode_v1(blob)
-        return entry["version"], entry["result"]
-
-    @staticmethod
-    def _decode_version(blob: bytes) -> str:
-        """Just the recorded version — cheapest possible decode."""
-        if blob.startswith(V2_MAGIC):
-            body = _v2_decompress(blob[len(V2_MAGIC):])
-            version, sep, _ = body.partition(b"\n")
-            if not sep:
-                raise ValueError("truncated v2 cache entry")
-            return version.decode("utf-8")
-        return _decode_v1(blob)["version"]
+            return {
+                "version": version,
+                "payload": json.loads(payload_json) if payload else None,
+                "result": json.loads(result_json),
+            }
+        return _decode_v1(blob)
 
     def read_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """The full stored entry (version/payload/result), either format.
@@ -255,19 +246,9 @@ class ResultCache:
         """
         try:
             with open(self._path(key), "rb") as fh:
-                blob = fh.read()
+                return self._decode(fh.read(), payload=True)
         except FileNotFoundError:
             return None
-        if blob.startswith(V2_MAGIC):
-            body = _v2_decompress(blob[len(V2_MAGIC):]).decode("utf-8")
-            version, _, rest = body.partition("\n")
-            payload_json, _, result_json = rest.partition("\n")
-            return {
-                "version": version,
-                "payload": json.loads(payload_json),
-                "result": json.loads(result_json),
-            }
-        return _decode_v1(blob)
 
     # -- core API -----------------------------------------------------
 
@@ -282,8 +263,8 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            version, result = self._decode_result(blob)
-            if version != self.version:
+            entry = self._decode(blob)
+            if entry["version"] != self.version:
                 raise ValueError("stale cache entry")
         except FileNotFoundError:
             self.stats.misses += 1
@@ -291,13 +272,11 @@ class ResultCache:
         except (ValueError, OSError, zlib.error):
             self.stats.misses += 1
             self.stats.invalidations += 1
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
             return None
         self.stats.hits += 1
-        return result
+        return entry["result"]
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Batch :meth:`get`: returns ``{key: result}`` for the hits only.
@@ -314,28 +293,13 @@ class ResultCache:
 
     def put(self, key: str, payload: Union[Dict[str, Any], str],
             result: Dict[str, Any]) -> None:
-        """Store a result atomically (write-to-temp + rename).
+        """Store a result with :func:`repro.core.ioutil.write_bytes`.
 
         ``payload`` may be the dict or its canonical JSON string — the
         runner passes the split-key string straight through so the
         payload tree is never re-parsed just to be stored.
         """
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = self._encode(payload, result)
-        fd, tmp = tempfile.mkstemp(
-            prefix=key[:8] + ".", suffix=".tmp", dir=os.path.dirname(path)
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        ioutil.write_bytes(self._path(key), self._encode(payload, result))
         self.stats.stores += 1
 
     def put_many(
@@ -386,7 +350,7 @@ class ResultCache:
             try:
                 with open(path, "rb") as fh:
                     blob = fh.read()
-                stale = self._decode_version(blob) != self.version
+                stale = self._decode(blob)["version"] != self.version
             except FileNotFoundError:
                 continue  # entry pruned mid-walk: nothing to reclaim
             except (ValueError, OSError, zlib.error):
@@ -429,7 +393,7 @@ class ResultCache:
             else:
                 fmt = "<corrupt>"
             try:
-                version = self._decode_version(blob)
+                version = self._decode(blob)["version"]
             except (ValueError, OSError, zlib.error):
                 version = "<corrupt>"
             stats["entries"] += 1

@@ -175,11 +175,15 @@ class WorkerPool:
         if executor is None:
             return
         procs = list((executor._processes or {}).values()) if kill else []
+        reaper = executor._executor_manager_thread
         executor.shutdown(wait=wait, cancel_futures=True)
         for proc in procs:
             proc.kill()
-        for proc in procs:
-            proc.join()
+        if procs and reaper is not None:
+            # The executor's manager thread reaps the killed workers.  A
+            # second reaper here would race it for each pid, and a worker
+            # it lost could still read as a live child after this returns.
+            reaper.join(timeout=5.0)
 
     def __enter__(self) -> "WorkerPool":
         return self

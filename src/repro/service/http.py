@@ -33,20 +33,20 @@ request line, a header line over 64 KB) are JSON like every other
 reply, and a connection that sends nothing for :data:`READ_TIMEOUT_S`
 mid-request is closed.
 
-Graceful shutdown (SIGTERM/SIGINT): stop accepting connections, let the
-jobs already running finish within ``grace_s`` seconds, then mark
-everything unfinished ``queued`` on disk so the next process resumes it
-(:meth:`JobManager.requeue_unfinished` / :meth:`JobManager.recover`).
-Slot pools close with the service: an idle pool's workers are joined,
-and the workers of a job still running are killed, because interpreter
-exit would otherwise wait for their chunks.
+Graceful shutdown (SIGTERM/SIGINT): stop accepting connections and let
+the jobs already running finish within ``grace_s`` seconds; a job not
+done by then records nothing, so it stays ``queued`` on disk for the
+next process (:meth:`JobManager.recover`).  Slot pools close with the
+service: an idle pool's workers are joined, and the workers of a job
+still running are killed, because interpreter exit would otherwise wait
+for their chunks.  A full disk costs a 500 on submission (nothing is
+queued) and a log line on a job's outcome; it never stops a slot.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import signal
 import socketserver
 import threading
@@ -177,7 +177,7 @@ class JobService:
         self.port = port
         self.cache_root = cache_dir if cache else None
         self.store = JobStore(cache_dir)
-        self.manager = JobManager(self.store, max_queue=max_queue)
+        self.manager = JobManager(self.store, max_queue=max_queue, log=self._log)
         self.service_workers = service_workers
         self.grace_s = grace_s
         self.quiet = quiet
@@ -232,7 +232,7 @@ class JobService:
 
     def shutdown(self, grace_s: Optional[float] = None) -> None:
         """Stop serving, let running jobs finish within the grace period,
-        requeue the rest, close the slot pools."""
+        close the slot pools; unfinished jobs stay queued on disk."""
         with self._lock:
             if self._draining:
                 return
@@ -251,9 +251,9 @@ class JobService:
             pools = list(self._pools.items())
         for slot, pool in pools:
             pool.close(kill=slot in stuck)
-        requeued = self.manager.requeue_unfinished()
-        if requeued:
-            self._log(f"requeued {len(requeued)} unfinished job(s) for the next run")
+        unfinished = sum(self.manager.counts()[s] for s in ("queued", "running"))
+        if unfinished:
+            self._log(f"{unfinished} unfinished job(s) stay queued for the next run")
 
     def run(self) -> None:
         """Blocking entry point used by ``python -m repro serve``: serve
@@ -295,7 +295,7 @@ class JobService:
                 return
             record, request = claimed
             with self._lock:
-                if self._draining:  # requeue_unfinished puts the job back
+                if self._draining:  # its record stays queued for the next run
                     return
                 pool = self._slot_pool(slot, request.workers)
                 self._running.add(slot)
@@ -400,17 +400,12 @@ class JobService:
                 202 if record.state in ("queued", "running") else 409,
                 {"state": record.state, "error": record.error},
             )
-        path = self.store.trace_path(record.job_id)
-        if not os.path.exists(path):
-            return _reply(
-                404,
-                {
-                    "error": "no trace for this job "
-                             "(submit with simulation.telemetry.enabled=true)"
-                },
-            )
-        with open(path, "rb") as fh:
-            return 200, {"Content-Type": "application/json"}, fh.read()
+        try:
+            with open(self.store.trace_path(record.job_id), "rb") as fh:
+                return 200, {"Content-Type": "application/json"}, fh.read()
+        except FileNotFoundError:
+            return _reply(404, {"error": "no trace for this job (submit with "
+                                         "simulation.telemetry.enabled=true)"})
 
 
 class ServiceHandle:

@@ -1,9 +1,8 @@
 """Persistent job records, the on-disk job store, and the JobManager.
 
-Layout mirrors the result cache: everything lives under
-``<cache_root>/jobs/`` with atomic temp-plus-rename writes, so a crashed
-or SIGTERM'd service never leaves a torn record and a restarted one can
-pick up exactly where it stopped:
+Everything lives under ``<cache_root>/jobs/`` as stamped records
+(:func:`repro.core.ioutil.write_record`); a torn, edited or unstamped
+file reads as missing, so a damaged result is never served:
 
 * ``<job_id>.json`` — the :class:`JobRecord` (normalized request body,
   state, timestamps, error);
@@ -13,12 +12,10 @@ pick up exactly where it stopped:
 
 State machine: ``queued -> running -> done | failed``.  The manager
 holds the only queue of pending jobs; :meth:`JobManager.next_job` claims
-the oldest.  On startup :meth:`JobManager.recover` folds any ``running``
-record back to ``queued`` (the process died mid-job) and re-enqueues all
-queued work in original submission order.
-:meth:`JobManager.requeue_unfinished` does the same at shutdown so jobs
-still in flight when the grace period expires are resumed by the next
-process rather than lost.
+the oldest.  A record is written when its job is queued and when it
+ends, never when it starts, so a job whose process stops mid-job is
+still ``queued`` on disk and :meth:`JobManager.recover` re-enqueues it
+in original submission order.
 
 Dedupe contract: the job id *is* the content hash of the job's identity
 (:func:`repro.service.spec.job_content_id`), so concurrent clients
@@ -30,15 +27,15 @@ resubmitting it resets the record to ``queued`` for another attempt.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.ioutil import atomic_open
+from repro.core import ioutil
 from repro.parallel.cache import DEFAULT_CACHE_DIR, CacheStats
 from repro.service.spec import JobRequest, job_content_id, parse_job_request
 
@@ -101,7 +98,7 @@ class JobRecord:
 
 
 class JobStore:
-    """Atomic on-disk persistence for job records and result payloads."""
+    """On-disk job records and result payloads, as stamped records."""
 
     def __init__(self, cache_root: str = DEFAULT_CACHE_DIR):
         self.root = os.path.join(cache_root, "jobs")
@@ -116,15 +113,13 @@ class JobStore:
         return os.path.join(self.root, f"{job_id}.trace.json")
 
     def save(self, record: JobRecord) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        with atomic_open(self.job_path(record.job_id)) as fh:
-            json.dump(record.to_dict(), fh, indent=2)
+        ioutil.write_record(self.job_path(record.job_id), record.to_dict())
 
     def load(self, job_id: str) -> Optional[JobRecord]:
         try:
-            with open(self.job_path(job_id)) as fh:
-                return JobRecord.from_dict(json.load(fh))
-        except (OSError, ValueError, TypeError, KeyError):
+            data = ioutil.read_record(self.job_path(job_id))
+            return None if data is None else JobRecord.from_dict(data)
+        except (ioutil.RecordError, TypeError):
             return None
 
     def job_ids(self) -> List[str]:
@@ -147,15 +142,12 @@ class JobStore:
         return records
 
     def write_result(self, job_id: str, payload: Dict[str, Any]) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        with atomic_open(self.result_path(job_id)) as fh:
-            json.dump(payload, fh, indent=2)
+        ioutil.write_record(self.result_path(job_id), payload)
 
     def read_result(self, job_id: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(self.result_path(job_id)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
+            return ioutil.read_record(self.result_path(job_id))
+        except ioutil.RecordError:
             return None
 
     def delete(self, job_id: str) -> bool:
@@ -185,14 +177,18 @@ class JobManager:
     """Thread-safe job table with bounded admission and content dedupe.
 
     The manager owns all state transitions and the queue of pending jobs;
-    the HTTP layer and the job slots only ever call its methods.  Every
-    mutation persists the record through the :class:`JobStore` before
-    returning, so the on-disk view is never newer than the in-memory one.
+    the HTTP layer and the job slots only ever call its methods.  A
+    submission is written before it is queued, so a failed write queues
+    nothing.  A failed outcome write goes to ``log``: the outcome stands
+    in memory, and the record stays ``queued`` on disk for the next
+    process to recompute from the result cache.
     """
 
-    def __init__(self, store: JobStore, max_queue: int = 64):
+    def __init__(self, store: JobStore, max_queue: int = 64,
+                 log: Optional[Callable[[str], None]] = None):
         self.store = store
         self.max_queue = max_queue
+        self.log = log or (lambda message: None)
         #: Reentrant so that next_job() can claim() while it holds it.
         self._lock = threading.RLock()
         #: Notified when a job is queued or the manager closes.
@@ -235,12 +231,10 @@ class JobManager:
                     f"submission queue full ({self.max_queue} job(s) pending)"
                 )
             if existing is not None:  # failed -> retry from scratch
-                record = existing
-                record.state = "queued"
-                record.error = None
-                record.started_s = None
-                record.finished_s = None
-                record.submitted_s = time.time()
+                record = dataclasses.replace(
+                    existing, state="queued", error=None, started_s=None,
+                    finished_s=None, submitted_s=time.time(),
+                )
             else:
                 record = JobRecord(
                     job_id=job_id,
@@ -249,10 +243,10 @@ class JobManager:
                     workers=request.workers,
                     submitted_s=time.time(),
                 )
-                self.jobs[job_id] = record
+            self.store.save(record)  # raises before anything is queued
+            self.jobs[job_id] = record
             self.submitted += 1
             self._pending.append(job_id)
-            self.store.save(record)
             self._queued.notify()
             return record, True
 
@@ -270,9 +264,9 @@ class JobManager:
                     return claimed
 
     def claim(self, job_id: str) -> Optional[Tuple[JobRecord, JobRequest]]:
-        """Take a job off the queue and move it to ``running``; None if it
-        is not claimable (already ran, or its persisted request no longer
-        parses)."""
+        """Take a job off the queue and move it to ``running`` (in memory
+        only); None if it is not claimable (already ran, or its persisted
+        request no longer parses)."""
         with self._lock:
             if job_id in self._pending:
                 self._pending.remove(job_id)
@@ -286,20 +280,29 @@ class JobManager:
                 record.error = f"persisted request no longer valid: {exc}"
                 record.finished_s = time.time()
                 self.failed += 1
-                self.store.save(record)
+                self._save_outcome(record)
                 return None
             record.state = "running"
             record.started_s = time.time()
             record.progress = ""
             self.executions.append(job_id)
-            self.store.save(record)
             return record, request
+
+    def _save_outcome(self, record: JobRecord) -> None:
+        """Write a job's outcome; a failed write is logged, not raised."""
+        try:
+            self.store.save(record)
+        except OSError as exc:
+            self.log(
+                f"job {record.job_id[:12]}: could not record {record.state!r} "
+                f"({exc}); it stays queued on disk"
+            )
 
     def close(self) -> None:
         """Stop handing out jobs: :meth:`next_job` returns None, and
         :meth:`finish` and :meth:`fail` record nothing (and return False),
-        so a job still running at shutdown stays unfinished for
-        :meth:`requeue_unfinished`."""
+        so a job still running at shutdown stays ``queued`` on disk for
+        the next process."""
         with self._lock:
             self._closed = True
             self._queued.notify_all()
@@ -314,7 +317,7 @@ class JobManager:
             record.digest = digest
             record.finished_s = time.time()
             self.completed += 1
-            self.store.save(record)
+            self._save_outcome(record)
             return True
 
     def fail(self, job_id: str, error: str) -> bool:
@@ -327,7 +330,7 @@ class JobManager:
             record.error = error
             record.finished_s = time.time()
             self.failed += 1
-            self.store.save(record)
+            self._save_outcome(record)
             return True
 
     def set_progress(self, job_id: str, message: str) -> None:
@@ -375,35 +378,22 @@ class JobManager:
     def recover(self) -> List[str]:
         """Load persisted jobs at startup; return ids needing execution.
 
-        ``running`` records mean a previous process died mid-job: they
-        fold back to ``queued``.  Completed/failed records are kept so
-        their results stay servable and dedupe keeps working.
+        Every record that did not end — a job queued, or running when
+        the previous process stopped — is queued again, oldest first.
+        Completed/failed records are kept so their results stay servable
+        and dedupe keeps working.
         """
         to_run: List[str] = []
         with self._lock:
             for record in self.store.load_all():
                 self.jobs[record.job_id] = record
-                if record.state == "running":
+                if record.state not in ("done", "failed"):
                     record.state = "queued"
-                    self.store.save(record)
-                if record.state == "queued":
                     self._pending.append(record.job_id)
                     to_run.append(record.job_id)
                     self.resumed += 1
             self._queued.notify_all()
         return to_run
-
-    def requeue_unfinished(self) -> List[str]:
-        """Mark every non-terminal job ``queued`` on disk (shutdown path:
-        the next service process resumes them)."""
-        requeued = []
-        with self._lock:
-            for record in self.jobs.values():
-                if record.state in ("queued", "running"):
-                    record.state = "queued"
-                    self.store.save(record)
-                    requeued.append(record.job_id)
-        return requeued
 
     # -- introspection -------------------------------------------------
     def get(self, job_id: str) -> Optional[JobRecord]:
@@ -421,12 +411,7 @@ class JobManager:
 
     def cache_totals(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self._cache_totals.hits,
-                misses=self._cache_totals.misses,
-                stores=self._cache_totals.stores,
-                invalidations=self._cache_totals.invalidations,
-            )
+            return dataclasses.replace(self._cache_totals)
 
 
 def prune_job_records(

@@ -7,7 +7,7 @@ two runs of the same config produce identical artifacts and an
 interrupted run never leaves a truncated one.
 
 The Perfetto export (load the JSON at https://ui.perfetto.dev) lays the
-server out as three processes:
+server out as up to four processes:
 
 * **pid 1 "cores"** — one thread per core; complete ("X") slices for
   dispatch transitions, request execution segments, lend/reclaim
@@ -18,6 +18,10 @@ server out as three processes:
 * **pid 3 "requests"** — one async ("b"/"e") chain per request id: an
   outer request span with nested per-phase slices (nic, queueing,
   dispatch, execution, backend) from the critical-path tiling.
+* **pid 4 "server"** — server-scope events, present when the trace holds
+  any: an instant ("i") per software agent tick (``args.lends`` = lends
+  initiated so far) and a "crash" slice from each crash to its restart
+  (or to the end of the trace).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.telemetry.probes import ProbeEngine
 from repro.telemetry.tracer import (
+    AGENT_TICK,
     PHASE_AFTER,
     BATCH_DONE,
     BATCH_PREEMPT,
@@ -45,11 +50,13 @@ from repro.telemetry.tracer import (
     REQ_FAIL,
     REQ_SHED,
     SERVER_CRASH,
+    SERVER_RESTART,
 )
 
 PID_CORES = 1
 PID_QUEUES = 2
 PID_REQUESTS = 3
+PID_SERVER = 4
 
 
 def _us(ts_ns: int) -> float:
@@ -141,6 +148,27 @@ def _request_chains(events: Iterable[Event]):
     return chains
 
 
+def _server_events(events: Iterable[Event]) -> List[dict]:
+    """The server track: an instant per agent tick, then a slice per
+    crash (to its restart, or to the end of the trace)."""
+    ticks, windows, down, ts = [], [], None, 0
+    for ts, kind, _req, _vm, _core, extra in events:
+        if kind == AGENT_TICK:
+            ticks.append({"ph": "i", "pid": PID_SERVER, "tid": 0, "s": "t",
+                          "cat": "agent", "name": "agent tick", "ts": _us(ts),
+                          "args": {"lends": extra}})
+        elif kind == SERVER_CRASH and down is None:
+            down = ts
+        elif kind == SERVER_RESTART and down is not None:
+            windows.append((down, ts))
+            down = None
+    if down is not None:
+        windows.append((down, ts))
+    return ticks + [{"ph": "X", "pid": PID_SERVER, "tid": 0, "cat": "fault",
+                     "name": "crash", "ts": _us(start), "dur": _us(end - start)}
+                    for start, end in windows]
+
+
 # ----------------------------------------------------------------------
 def write_perfetto_json(
     path: str,
@@ -150,11 +178,14 @@ def write_perfetto_json(
 ) -> int:
     """Write the Perfetto/Chrome trace; returns the trace-event count."""
     te: List[dict] = []
+    server = _server_events(events)
     meta = [
         (PID_CORES, "cores"),
         (PID_QUEUES, "queues"),
         (PID_REQUESTS, "requests"),
     ]
+    if server:
+        meta.append((PID_SERVER, "server"))
     for pid, name in meta:
         te.append(
             {"ph": "M", "pid": pid, "name": "process_name",
@@ -206,6 +237,8 @@ def write_perfetto_json(
             {"ph": "e", "pid": PID_REQUESTS, "cat": "request", "id": req,
              "tid": 0, "name": name, "ts": _us(end)}
         )
+
+    te.extend(server)
 
     # Imported lazily: repro.core's package init pulls in the experiment
     # runner (and through it this package), so a module-level import here

@@ -16,6 +16,7 @@ from repro.parallel.sweep import SweepPoint
 from repro.sim.engine import Simulator
 from repro.telemetry.export import write_perfetto_json, write_timeseries_csv
 from repro.telemetry.tracer import (
+    AGENT_TICK,
     DEPTH_KINDS,
     PHASES,
     REQ_ARRIVAL,
@@ -23,6 +24,8 @@ from repro.telemetry.tracer import (
     REQ_DISPATCH,
     REQ_ENQUEUE,
     REQ_EXEC,
+    SERVER_CRASH,
+    SERVER_RESTART,
     Tracer,
 )
 
@@ -282,6 +285,54 @@ class TestExport:
             write_timeseries_csv(str(cp), sim.probes)
             blobs.append((tp.read_bytes(), cp.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    @staticmethod
+    def _server_track(system, simcfg, path):
+        """(tracer events, exported events on the server track) of a run."""
+        sim = run_server_raw(system, simcfg)
+        try:
+            names = {vm.vm_id: vm.name for vm in sim.primary_vms}
+            for hvm in sim.harvest_vms:
+                names[hvm.vm_id] = hvm.name
+            events = sim.tracer.events()
+            write_perfetto_json(str(path), events, names, len(sim.cores))
+        finally:
+            sim.close()
+        te = json.loads(path.read_text())["traceEvents"]
+        assert {"ph": "M", "pid": 4, "name": "process_name",
+                "args": {"name": "server"}} in te
+        return events, [ev for ev in te if ev["pid"] == 4 and ev["ph"] != "M"]
+
+    def test_perfetto_server_track_has_every_agent_tick(self, tmp_path):
+        events, track = self._server_track(
+            harvest_block(), TRACED, tmp_path / "trace.json"
+        )
+        ticks = [(ts / 1000.0, extra) for ts, kind, *_, extra in events
+                 if kind == AGENT_TICK]
+        assert len(ticks) >= 2
+        assert [(ev["ph"], ev["name"]) for ev in track] == [
+            ("i", "agent tick")
+        ] * len(ticks)
+        assert [(ev["ts"], ev["args"]["lends"]) for ev in track] == ticks
+
+    def test_perfetto_server_track_spans_each_crash_to_its_restart(
+        self, tmp_path
+    ):
+        from repro.faults.scenarios import get_scenario
+
+        storm = replace(
+            TRACED, faults=get_scenario("crash-storm", TRACED.horizon_ms).schedule
+        )
+        events, track = self._server_track(
+            hardharvest_block(), storm, tmp_path / "trace.json"
+        )
+        crashes = [e[0] for e in events if e[1] == SERVER_CRASH]
+        restarts = [e[0] for e in events if e[1] == SERVER_RESTART]
+        assert crashes and len(crashes) == len(restarts)
+        assert all(ev["ph"] == "X" and ev["name"] == "crash" for ev in track)
+        assert [(ev["ts"], ev["ts"] + ev["dur"]) for ev in track] == [
+            (c / 1000.0, r / 1000.0) for c, r in zip(crashes, restarts)
+        ]
 
     def test_timeseries_csv_shape(self, traced_sim, tmp_path):
         path = tmp_path / "series.csv"
