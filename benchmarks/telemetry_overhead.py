@@ -1,25 +1,26 @@
-"""Telemetry disabled-path overhead guard.
+"""Telemetry timings record: off, explicitly off, and on.
 
 The tracer hooks are compiled into the hot paths of
 :class:`~repro.cluster.server.ServerSimulation` (arrival, enqueue,
 dispatch, segment completion, lend/reclaim, batch units).  When telemetry
-is off they must cost essentially nothing: each hook calls the server's
-``emit``, which is then an empty module-level function.  This benchmark
-times the same simulation three ways —
+is off each hook calls the server's ``emit``, which is then an empty
+module-level function.  This benchmark times the same simulation three
+ways —
 
 * ``telemetry=None`` (the pre-telemetry spelling),
 * ``TelemetryConfig(enabled=False)`` (explicit off),
-* ``TelemetryConfig(enabled=True)`` (full tracing, informational only),
+* ``TelemetryConfig(enabled=True)`` (full tracing),
 
 — interleaves them over ``--repeats`` rounds (see
-:mod:`benchmarks._timing`), keeps the best wall-clock of each, asserts
-the disabled configurations agree within ``--tolerance`` (default 2%),
-and records the wall-clocks under
+:mod:`benchmarks._timing`), keeps the best wall-clock of each, and
+records the wall-clocks and their ratios to ``telemetry=None`` under
 ``bench_results/BENCH_telemetry_overhead.json``.
 
-Both disabled spellings build the same server, whose hooks all call the
-empty function, so the gate shows that they agree; it does not price a
-disabled hook against an engine without hooks.
+Nothing here gates.  Both disabled spellings build the same server,
+whose hooks all call the empty function, so their ratio times one code
+path against itself and measures only host noise.
+``test_disabled_config_allocates_nothing`` in ``tests/test_telemetry.py``
+checks that property directly.
 
 Usage::
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import platform
-import sys
 from dataclasses import replace
 
 import repro
@@ -46,8 +46,6 @@ def main(argv=None) -> int:
     parser.add_argument("--accesses", type=int, default=6)
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed runs per configuration (min is kept)")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="allowed disabled-path slowdown (fraction)")
     parser.add_argument("--out", default=None,
                         help="output path (default bench_results/BENCH_telemetry_overhead.json)")
     args = parser.parse_args(argv)
@@ -75,7 +73,6 @@ def main(argv=None) -> int:
     off_s = best_wall(samples["off"])
     on_s = best_wall(samples["on"])
 
-    disabled_ratio = off_s / none_s
     record = {
         "benchmark": "telemetry_overhead",
         "version": repro.__version__,
@@ -85,19 +82,10 @@ def main(argv=None) -> int:
         "telemetry_none_s": round(none_s, 4),
         "telemetry_off_s": round(off_s, 4),
         "telemetry_on_s": round(on_s, 4),
-        "disabled_ratio": round(disabled_ratio, 4),
+        "disabled_ratio": round(off_s / none_s, 4),
         "enabled_ratio": round(on_s / none_s, 4),
-        "tolerance": args.tolerance,
     }
     write_record(record, "BENCH_telemetry_overhead.json", args.out)
-
-    if disabled_ratio > 1.0 + args.tolerance:
-        print(
-            f"ERROR: disabled telemetry costs {100 * (disabled_ratio - 1):.1f}% "
-            f"(> {100 * args.tolerance:.0f}% budget)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -43,7 +43,7 @@ from repro.cluster.core import BUSY, IDLE, STALLED, SWITCHING, Core
 from repro.cluster.backend import BackendTier
 from repro.cluster.nic import Nic
 from repro.cluster.request import Request
-from repro.cluster.vm import HarvestVm, PrimaryVm, SharedQueueAdapter, SoftwareQueue
+from repro.cluster.vm import HarvestVm, PrimaryVm, SoftwareQueue
 from repro.faults.client import ClientRuntime
 from repro.faults.injector import FaultInjector
 from repro.harvest.base import HarvestAgent, NoHarvestAgent
@@ -152,10 +152,8 @@ class ServerSimulation:
                 f"LLC/vm{vm_id}", system.hierarchy, cluster.cores_per_primary_vm
             )
             if self.controller is not None:
-                queue = SharedQueueAdapter(
-                    self.controller.register_vm(
-                        vm_id, True, cluster.cores_per_primary_vm
-                    )
+                queue = self.controller.register_vm(
+                    vm_id, True, cluster.cores_per_primary_vm
                 )
             else:
                 queue = SoftwareQueue(vm_id)

@@ -18,13 +18,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.cluster.core import Core
-from repro.hw.request_queue import (
-    CODE_READY,
-    CODE_RUNNING,
-    RequestStatus,
-    Subqueue,
-)
-from repro.hw.sched_kernels import NUMPY_SCAN_MIN, ready_positions
+from repro.hw.request_queue import READY, RUNNING, Subqueue
 from repro.workloads.batch import BatchJobProfile
 from repro.workloads.memory_profile import BatchMemory, ServiceMemory
 from repro.workloads.microservices import ServiceProfile
@@ -53,25 +47,23 @@ class SoftwareQueue:
     def enqueue(self, request: object) -> bool:
         return self._sq.enqueue(request)
 
-    def _ready_indices(self):
-        """Iterator of READY entry positions, oldest first.
-
-        ``memchr`` steps through the status-code mirror for shallow queues;
-        deep queues (software per-core queues under overload) batch the
-        whole scan through the NumPy kernel first.
-        """
-        codes = self._sq._codes
-        if len(codes) >= NUMPY_SCAN_MIN:
-            return iter(ready_positions(codes))
-
-        def gen():
-            find = codes.find
-            i = find(CODE_READY)
-            while i >= 0:
-                yield i
-                i = find(CODE_READY, i + 1)
-
-        return gen()
+    def _oldest_ready(
+        self, core_id: Optional[int], exclude_steered_to: Optional[set]
+    ) -> int:
+        """Position of the oldest READY request that ``core_id`` may take
+        (any core's, if None), skipping requests steered to a core in
+        ``exclude_steered_to``; -1 if there is none."""
+        status = self._sq.status
+        entries = self._sq.entries
+        i = status.find(READY)
+        while i >= 0:
+            steer = entries[i].steered_core_id
+            if not (exclude_steered_to and steer in exclude_steered_to) and (
+                core_id is None or steer is None or steer == core_id
+            ):
+                return i
+            i = status.find(READY, i + 1)
+        return -1
 
     def dequeue(
         self,
@@ -84,52 +76,30 @@ class SoftwareQueue:
         by the steal path: the OS will not migrate a thread pinned to a
         vCPU just because that vCPU is temporarily descheduled).
         """
-        sq = self._sq
-        if not sq._ready_count:
+        i = self._oldest_ready(core_id, exclude_steered_to)
+        if i < 0:
             return None
-        entries = sq.entries
-        for i in self._ready_indices():
-            entry = entries[i]
-            steer = getattr(entry.request, "steered_core_id", None)
-            if exclude_steered_to and steer in exclude_steered_to:
-                continue
-            if core_id is None or steer is None or steer == core_id:
-                entry.status = RequestStatus.RUNNING
-                sq._codes[i] = CODE_RUNNING
-                sq._ready_count -= 1
-                return entry.request
-        return None
+        self._sq.status[i] = RUNNING
+        return self._sq.entries[i]
 
     def has_ready(
         self,
         core_id: Optional[int] = None,
         exclude_steered_to: Optional[set] = None,
     ) -> bool:
-        sq = self._sq
-        if not sq._ready_count:
-            return False
-        if core_id is None and not exclude_steered_to:
-            return True
-        entries = sq.entries
-        for i in self._ready_indices():
-            steer = getattr(entries[i].request, "steered_core_id", None)
-            if exclude_steered_to and steer in exclude_steered_to:
-                continue
-            if core_id is None or steer is None or steer == core_id:
-                return True
-        return False
+        return self._oldest_ready(core_id, exclude_steered_to) >= 0
 
     def ready_steered_cores(self) -> List[int]:
         """Distinct steering targets of READY requests, FIFO order."""
-        sq = self._sq
-        if not sq._ready_count:
-            return []
-        entries = sq.entries
+        status = self._sq.status
+        entries = self._sq.entries
         seen: List[int] = []
-        for i in self._ready_indices():
-            steer = getattr(entries[i].request, "steered_core_id", None)
+        i = status.find(READY)
+        while i >= 0:
+            steer = entries[i].steered_core_id
             if steer is not None and steer not in seen:
                 seen.append(steer)
+            i = status.find(READY, i + 1)
         return seen
 
     def ready_count(self) -> int:
@@ -158,56 +128,6 @@ class SoftwareQueue:
 
     def occupancy(self):
         return self._sq.occupancy()
-
-
-class SharedQueueAdapter:
-    """Adapter giving a HardHarvest QueueManager the core-aware interface.
-
-    The hardware subqueue is shared within the VM, so steering arguments
-    are accepted and ignored (any bound core may dequeue any request).
-    """
-
-    def __init__(self, qm):
-        self.qm = qm
-
-    def enqueue(self, request: object) -> bool:
-        return self.qm.enqueue(request)
-
-    def dequeue(self, core_id=None, exclude_steered_to=None) -> Optional[object]:
-        return self.qm.dequeue()
-
-    def has_ready(self, core_id=None, exclude_steered_to=None) -> bool:
-        return self.qm.has_ready()
-
-    def ready_steered_cores(self) -> List[int]:
-        return []
-
-    def ready_count(self) -> int:
-        return self.qm.subqueue.ready_count()
-
-    def mark_blocked(self, request: object) -> None:
-        self.qm.mark_blocked(request)
-
-    def mark_ready(self, request: object) -> None:
-        self.qm.mark_ready(request)
-
-    def requeue(self, request: object) -> None:
-        self.qm.requeue(request)
-
-    def complete(self, request: object) -> None:
-        self.qm.complete(request)
-
-    def discard(self, request: object) -> bool:
-        return self.qm.subqueue.discard(request)
-
-    def drain(self) -> List[object]:
-        return self.qm.subqueue.drain()
-
-    def pending(self) -> int:
-        return self.qm.pending()
-
-    def occupancy(self):
-        return self.qm.subqueue.occupancy()
 
 
 class PrimaryVm:

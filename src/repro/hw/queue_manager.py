@@ -12,7 +12,7 @@ queue operations and the bookkeeping those decisions need.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hw.request_queue import Subqueue
 from repro.hw.vm_state import VmStateRegisterSet
@@ -89,16 +89,25 @@ class QueueManager:
         self.on_loan.discard(core_id)
 
     # ------------------------------------------------------------------
-    # Queue operations (delegate to the subqueue)
+    # Queue operations (delegate to the subqueue).  A Primary VM's queue
+    # is its QM.  The subqueue is shared by all of the VM's cores, so the
+    # steering arguments of the VM queue interface are accepted and
+    # ignored, and no request is ever steered.
     # ------------------------------------------------------------------
     def enqueue(self, request: object) -> bool:
         return self.subqueue.enqueue(request)
 
-    def dequeue(self) -> Optional[object]:
+    def dequeue(self, core_id=None, exclude_steered_to=None) -> Optional[object]:
         return self.subqueue.dequeue_ready()
 
-    def has_ready(self) -> bool:
+    def has_ready(self, core_id=None, exclude_steered_to=None) -> bool:
         return self.subqueue.has_ready()
+
+    def ready_steered_cores(self) -> List[int]:
+        return []
+
+    def ready_count(self) -> int:
+        return self.subqueue.ready_count()
 
     def mark_blocked(self, request: object) -> None:
         self.subqueue.mark_blocked(request)
@@ -112,5 +121,14 @@ class QueueManager:
     def complete(self, request: object) -> None:
         self.subqueue.complete(request)
 
+    def discard(self, request: object) -> bool:
+        return self.subqueue.discard(request)
+
+    def drain(self) -> List[object]:
+        return self.subqueue.drain()
+
     def pending(self) -> int:
         return self.subqueue.total_pending()
+
+    def occupancy(self) -> Tuple[int, int]:
+        return self.subqueue.occupancy()

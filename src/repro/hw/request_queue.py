@@ -6,41 +6,33 @@ RQ-Map lists which physical chunks compose it, in logical order. Chunks are
 donated from subqueue tails when new VMs arrive (displaced entries spill to
 that VM's software In-memory Overflow Subqueue) and returned when VMs leave.
 
-Entries hold a pointer to the request payload in the LLC plus a 2-bit status
-(READY / RUNNING / BLOCKED). Blocked requests keep their entry (Section
-4.1.5) so the response can mark them ready in place.
+An entry is a pointer to the request payload in the LLC plus a 2-bit status
+(READY / RUNNING / BLOCKED, Section 6.8). A subqueue keeps the pointers in
+``entries`` and the statuses in ``status``, a bytearray with one
+:class:`RequestStatus` byte per entry at the same position. Blocked requests
+keep their entry (Section 4.1.5) so the response can mark them ready in
+place.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
+from enum import IntEnum
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 
-class RequestStatus(Enum):
-    """The 2-bit status of an RQ entry (Section 6.8's status bits)."""
+class RequestStatus(IntEnum):
+    """The 2-bit status of an RQ entry (Section 6.8's status bits), valued
+    as the byte a :class:`Subqueue` stores for it."""
 
-    READY = "ready"
-    RUNNING = "running"
-    BLOCKED = "blocked"
-
-
-#: Byte encoding of :class:`RequestStatus` for the status-code mirror
-#: (``Subqueue._codes``): the scan kernels search raw bytes instead of
-#: walking entry objects.  READY must be 0 — ``bytearray.find(0)`` is the
-#: oldest-READY search.
-CODE_READY, CODE_RUNNING, CODE_BLOCKED = 0, 1, 2
+    READY = 0
+    RUNNING = 1
+    BLOCKED = 2
 
 
-class RqEntry:
-    """One RQ entry: a payload pointer and its status bits."""
-
-    __slots__ = ("request", "status")
-
-    def __init__(self, request: object):
-        self.request = request
-        self.status = RequestStatus.READY
+#: The statuses as plain ints for the byte searches: ``bytearray.find``
+#: converts an ``IntEnum`` argument on every call.
+READY, RUNNING, BLOCKED = (int(status) for status in RequestStatus)
 
 
 class Subqueue:
@@ -50,24 +42,19 @@ class Subqueue:
     entries/chunk); beyond that, pointers go to the In-memory Overflow
     Subqueue, and are promoted into hardware as entries retire.
 
-    Alongside ``entries`` the subqueue maintains two mirrors that every
-    mutation keeps in sync (the structural counterpart of the cache
-    model's tag index): ``_codes``, a bytearray of per-entry status codes
-    positionally aligned with ``entries``, and ``_ready_count``, the
-    number of READY entries.  ``has_ready``/``ready_count`` answer from
-    the counter, and the oldest READY entry is found with a C-speed byte
-    search instead of a walk over the entry objects.
+    ``status[i]`` is the only record of ``entries[i]``'s state, so the
+    READY searches are byte searches (``find``, ``rfind``, ``count``).
+    Requests compare by identity, so ``entries.index`` finds one.
     """
 
     def __init__(self, vm_id: int, entries_per_chunk: int):
         self.vm_id = vm_id
         self.entries_per_chunk = entries_per_chunk
         self.rq_map: List[int] = []  # physical chunk ids, logical order
-        self.entries: List[RqEntry] = []
+        self.entries: List[object] = []
+        self.status = bytearray()
         self.overflow: Deque[object] = deque()
         self.overflow_highwater = 0
-        self._codes = bytearray()
-        self._ready_count = 0
 
     @property
     def capacity(self) -> int:
@@ -82,9 +69,8 @@ class Subqueue:
         """Add a request; returns True if it landed in hardware, False if it
         spilled to the overflow subqueue."""
         if len(self.entries) < self.capacity:
-            self.entries.append(RqEntry(request))
-            self._codes.append(CODE_READY)
-            self._ready_count += 1
+            self.entries.append(request)
+            self.status.append(READY)
             return True
         self.overflow.append(request)
         self.overflow_highwater = max(self.overflow_highwater, len(self.overflow))
@@ -92,98 +78,82 @@ class Subqueue:
 
     def _promote_overflow(self) -> None:
         while self.overflow and len(self.entries) < self.capacity:
-            self.entries.append(RqEntry(self.overflow.popleft()))
-            self._codes.append(CODE_READY)
-            self._ready_count += 1
+            self.entries.append(self.overflow.popleft())
+            self.status.append(READY)
 
     def dequeue_ready(self) -> Optional[object]:
         """Oldest READY entry, marked RUNNING; None if there is none."""
-        if not self._ready_count:
+        i = self.status.find(READY)
+        if i < 0:
             return None
-        i = self._codes.find(CODE_READY)
-        entry = self.entries[i]
-        entry.status = RequestStatus.RUNNING
-        self._codes[i] = CODE_RUNNING
-        self._ready_count -= 1
-        return entry.request
+        self.status[i] = RUNNING
+        return self.entries[i]
 
     def has_ready(self) -> bool:
-        return self._ready_count > 0
+        return READY in self.status
 
     def ready_count(self) -> int:
         """Number of READY entries in hardware."""
-        return self._ready_count
+        return self.status.count(READY)
 
-    def _find(self, request: object) -> Tuple[int, RqEntry]:
-        for i, entry in enumerate(self.entries):
-            if entry.request is request:
-                return i, entry
-        raise KeyError(f"request {request!r} not present in subqueue of VM {self.vm_id}")
+    def _position(self, request: object, expected: int, verb: str) -> int:
+        """Index of ``request``, which must be in state ``expected``."""
+        try:
+            i = self.entries.index(request)
+        except ValueError:
+            raise KeyError(
+                f"request {request!r} not present in subqueue of VM {self.vm_id}"
+            ) from None
+        if self.status[i] != expected:
+            state = RequestStatus(self.status[i]).name.lower()
+            raise ValueError(f"cannot {verb} a {state} request")
+        return i
 
     def mark_blocked(self, request: object) -> None:
         """The core informed the QM that this request blocked on I/O.
 
         The entry stays in the subqueue (Section 4.1.5)."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot block a {entry.status.value} request")
-        entry.status = RequestStatus.BLOCKED
-        self._codes[i] = CODE_BLOCKED
+        self.status[self._position(request, RUNNING, "block")] = BLOCKED
 
     def mark_ready(self, request: object) -> None:
         """The NIC received the response for a blocked request."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.BLOCKED:
-            raise ValueError(f"cannot ready a {entry.status.value} request")
-        entry.status = RequestStatus.READY
-        self._codes[i] = CODE_READY
-        self._ready_count += 1
+        self.status[self._position(request, BLOCKED, "ready")] = READY
 
     def requeue_ready(self, request: object) -> None:
         """Return a preempted RUNNING request to READY state (Figure 10b)."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot requeue a {entry.status.value} request")
-        entry.status = RequestStatus.READY
-        self._codes[i] = CODE_READY
-        self._ready_count += 1
+        self.status[self._position(request, RUNNING, "requeue")] = READY
 
     def complete(self, request: object) -> None:
         """Remove a finished request and promote overflow entries."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot complete a {entry.status.value} request")
+        i = self._position(request, RUNNING, "complete")
         del self.entries[i]
-        del self._codes[i]
+        del self.status[i]
         self._promote_overflow()
 
     def discard(self, request: object) -> bool:
         """Remove a request in any state (abandoned attempt: timeout, shed,
         hedge loser, crash kill). Returns False if it is not queued here."""
-        for i, entry in enumerate(self.entries):
-            if entry.request is request:
-                if entry.status is RequestStatus.READY:
-                    self._ready_count -= 1
-                del self.entries[i]
-                del self._codes[i]
-                self._promote_overflow()
-                return True
         try:
-            self.overflow.remove(request)
-            return True
+            i = self.entries.index(request)
         except ValueError:
-            return False
+            try:
+                self.overflow.remove(request)
+            except ValueError:
+                return False
+            return True
+        del self.entries[i]
+        del self.status[i]
+        self._promote_overflow()
+        return True
 
     def drain(self) -> List[object]:
         """Remove and return every queued request (server crash). The
         hardware loses all RQ state; overflow pointers die with the kernel
         structures that tracked them."""
-        drained = [entry.request for entry in self.entries]
-        drained.extend(self.overflow)
+        drained = [*self.entries, *self.overflow]
         self.entries.clear()
+        self.status.clear()
         self.overflow.clear()
-        self._codes.clear()
-        self._ready_count = 0
         return drained
 
     # ------------------------------------------------------------------
@@ -200,34 +170,19 @@ class Subqueue:
         """Donate the tail chunk; spill displaced entries to overflow.
 
         Entries that no longer fit in the shrunken hardware capacity move to
-        the overflow subqueue (newest first stay closest to hardware)."""
+        the front of the overflow subqueue, newest READY entry first, so the
+        oldest stay closest to hardware. Running and blocked entries must
+        stay visible to the QM: with no READY entry left to move, the
+        subqueue tolerates a transient over-capacity."""
         if not self.rq_map:
             raise ValueError(f"VM {self.vm_id} has no chunks to shed")
         chunk = self.rq_map.pop()
         while len(self.entries) > self.capacity:
-            displaced = self.entries.pop()
-            code = self._codes.pop()
-            if displaced.status is not RequestStatus.READY:
-                # Running/blocked entries must stay visible to the QM: put
-                # the newest READY one to overflow instead.
-                self.entries.append(displaced)
-                self._codes.append(code)
-                ready_idx = None
-                for i in range(len(self.entries) - 1, -1, -1):
-                    if self.entries[i].status is RequestStatus.READY:
-                        ready_idx = i
-                        break
-                if ready_idx is None:
-                    # Nothing evictable; tolerate transient over-capacity.
-                    break
-                moved = self.entries[ready_idx]
-                del self.entries[ready_idx]
-                del self._codes[ready_idx]
-                self._ready_count -= 1
-                self.overflow.appendleft(moved.request)
-            else:
-                self._ready_count -= 1
-                self.overflow.appendleft(displaced.request)
+            i = self.status.rfind(READY)
+            if i < 0:
+                break
+            del self.status[i]
+            self.overflow.appendleft(self.entries.pop(i))
             self.overflow_highwater = max(self.overflow_highwater, len(self.overflow))
         return chunk
 

@@ -10,9 +10,9 @@ figure benchmarks' multi-system fixtures.
   grids, enumerated in deterministic order, or any list of points.
 * :func:`run_sweep` — in-process at ``workers=1``, a process pool above
   it (a :class:`WorkerPool` the caller may own, so its workers outlive
-  one call), with per-task timeout, per-point retry with capped exponential
-  backoff (:class:`RetryPolicy`), broken-pool rebuild, optional
-  quarantine of hopeless points, and collection keyed by point.
+  one call), with per-task timeout, per-point retry after a fixed
+  backoff, broken-pool rebuild, optional quarantine of hopeless points,
+  and collection keyed by point.
 * :class:`ResultCache` — content-addressed on-disk cache under
   ``.repro_cache/`` keyed by config hash + package version, with
   zlib-compressed v2 entries (legacy v1 entries are read, never
@@ -28,7 +28,6 @@ from repro.parallel.cache import (
 )
 from repro.parallel.runner import (
     DeterminismError,
-    RetryPolicy,
     SweepError,
     SweepOutcome,
     WorkerPool,
@@ -42,7 +41,6 @@ __all__ = [
     "SweepPoint",
     "parse_seeds",
     "run_sweep",
-    "RetryPolicy",
     "SweepOutcome",
     "WorkerPool",
     "SweepError",

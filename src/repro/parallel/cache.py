@@ -161,6 +161,9 @@ class CacheStats:
     #: Entries dropped because they were unreadable or recorded under a
     #: different package version than the file location implies.
     invalidations: int = 0
+    #: Puts that :meth:`ResultCache.put_many` skipped on an ``OSError``
+    #: (a full disk, say); the result is returned all the same.
+    store_failures: int = 0
 
     def hit_rate(self) -> float:
         looked = self.hits + self.misses
@@ -172,6 +175,7 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "invalidations": self.invalidations,
+            "store_failures": self.store_failures,
             "hit_rate": self.hit_rate(),
         }
 
@@ -306,10 +310,19 @@ class ResultCache:
         self,
         entries: Iterable[Tuple[str, Union[Dict[str, Any], str], Dict[str, Any]]],
     ) -> int:
-        """Batch :meth:`put`; returns the number of entries stored."""
+        """Batch :meth:`put`, best effort; returns the number stored.
+
+        A put that raises ``OSError`` is skipped and counted in
+        ``stats.store_failures``: the caller already holds the result, and
+        a missing entry only costs a recompute later.
+        """
         count = 0
         for key, payload, result in entries:
-            self.put(key, payload, result)
+            try:
+                self.put(key, payload, result)
+            except OSError:
+                self.stats.store_failures += 1
+                continue
             count += 1
         return count
 

@@ -17,13 +17,12 @@ marks the point failed *for that attempt only*.  Ordinary exceptions are
 caught per point inside the chunk, so one bad point never discards its
 chunk-mates' first-attempt results; a hard worker crash (which loses the
 whole chunk) is salvaged by retrying each affected point as its own
-singleton chunk.  Failed points are retried under a
-:class:`RetryPolicy` — capped exponential backoff between attempts, every
-retry isolated in a singleton chunk so a poisoned point cannot take
-neighbours down with it — and a broken pool is rebuilt (bounded by
-``MAX_POOL_REBUILDS``) instead of failing the run.  Points that exhaust
-their attempts raise :class:`SweepError` naming every failed label, or —
-with ``quarantine=True`` — are recorded in
+singleton chunk.  Failed points are retried after each delay of
+:data:`RETRY_DELAYS_S`, every retry isolated in a singleton chunk so a
+poisoned point cannot take neighbours down with it, and a broken pool is
+rebuilt (bounded by ``MAX_POOL_REBUILDS``) instead of failing the run.
+Points that exhaust their attempts raise :class:`SweepError` naming every
+failed label, or — with ``quarantine=True`` — are recorded in
 :attr:`SweepOutcome.quarantined` and excluded from the results instead of
 sinking the sweep.
 
@@ -74,6 +73,11 @@ class DeterminismError(RuntimeError):
 #: before the surviving chunks are marked failed for the attempt.
 MAX_POOL_REBUILDS = 3
 
+#: Seconds slept before each retry round of a batch's failed points; a
+#: point runs at most ``len(RETRY_DELAYS_S) + 1`` times.  Backoff is
+#: wall-clock only and never touches simulation state.
+RETRY_DELAYS_S = (0.05, 0.10)
+
 #: Patchable sleep hook so tests can assert backoff without waiting it out.
 _sleep = time.sleep
 
@@ -110,11 +114,13 @@ def _init_worker() -> None:
 
     Importing the simulator stack here (once per worker, before the
     first chunk lands) keeps the first task of every worker from paying
-    the import cost inside its timed chunk.  In a pool worker it also
-    starts the thread that ends the worker with its coordinator, even
-    one killed with SIGKILL.
+    the import cost inside its timed chunk.  That includes ``numpy.ma``,
+    which the first ``np.percentile`` call would import otherwise.  In a
+    pool worker it also starts the thread that ends the worker with its
+    coordinator, even one killed with SIGKILL.
     """
     _WORKER_MEMO.clear()
+    import numpy.ma  # noqa: F401
     import repro.core.experiment  # noqa: F401
     import repro.core.serialize  # noqa: F401
     if multiprocessing.parent_process() is not None:
@@ -225,41 +231,6 @@ def _memoized_part(kind: str, part: Dict, build: Callable[[Dict], Any]) -> Any:
         obj = build(part)
         _WORKER_MEMO[memo_key] = obj
     return obj
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-point retry with capped exponential backoff.
-
-    ``max_attempts`` counts every execution of a point (first try
-    included), so the default allows two retries.  Between attempt ``n``
-    and ``n+1`` the runner sleeps ``delay(n)`` — backoff is wall-clock
-    only and never touches simulation state, so it cannot perturb
-    results.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff durations must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got "
-                f"{self.backoff_multiplier}"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait after the ``attempt``-th failed execution."""
-        raw = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
-        return min(raw, self.backoff_cap_s)
 
 
 def execute_payload(payload_json: str) -> Dict:
@@ -440,7 +411,6 @@ def run_sweep(
     cache: Optional[ResultCache] = None,
     task_timeout: Optional[float] = None,
     verify_cached: bool = False,
-    retry: Optional[RetryPolicy] = None,
     quarantine: bool = False,
     pool: Optional[WorkerPool] = None,
 ) -> SweepOutcome:
@@ -457,10 +427,9 @@ def run_sweep(
     additionally recomputes every hit and insists on bit-identical output
     (see :class:`DeterminismError`).
 
-    ``retry`` (default :class:`RetryPolicy`) governs per-point retries:
-    only the points that failed re-run, each as its own singleton chunk,
-    with capped exponential backoff between attempts.  Points that
-    exhaust every attempt raise :class:`SweepError` — unless
+    Only the points that failed re-run, each as its own singleton chunk,
+    after each delay of :data:`RETRY_DELAYS_S`.  Points that exhaust
+    every attempt raise :class:`SweepError` — unless
     ``quarantine=True``, which records them in
     :attr:`SweepOutcome.quarantined` (and omits them from the results)
     so one hopeless point cannot sink a million-point sweep.  Callers
@@ -510,19 +479,16 @@ def run_sweep(
     else:
         to_verify = []
 
-    retry = retry or RetryPolicy()
     with scope as pool:
         done, failures, rebuilds = _execute_batch(
             pending + to_verify, pool, task_timeout
         )
         outcome.pool_rebuilds += rebuilds
         first_errors = dict(failures)
-        attempt = 1
-        while failures and attempt < retry.max_attempts:
-            delay = retry.delay(attempt)
-            if delay > 0:
-                _sleep(delay)
-            attempt += 1
+        for delay in RETRY_DELAYS_S:
+            if not failures:
+                break
+            _sleep(delay)
             # Singleton chunks: each retried point runs in isolation, so
             # a poisoned point cannot take healthy siblings down with it
             # and every sibling's success is banked the moment it
@@ -540,7 +506,7 @@ def run_sweep(
             detail = "; ".join(f"{lbl}: {err}" for lbl, err in failures.items())
             raise SweepError(
                 f"{len(failures)} sweep point(s) failed after "
-                f"{retry.max_attempts} attempt(s): {detail}"
+                f"{len(RETRY_DELAYS_S) + 1} attempt(s): {detail}"
             )
         outcome.quarantined = dict(failures)
     recovered = {

@@ -347,6 +347,7 @@ class JobManager:
             self._cache_totals.misses += stats.misses
             self._cache_totals.stores += stats.stores
             self._cache_totals.invalidations += stats.invalidations
+            self._cache_totals.store_failures += stats.store_failures
 
     # -- TTL eviction --------------------------------------------------
     def evict_expired(self, ttl_s: float, now: Optional[float] = None) -> List[str]:

@@ -6,8 +6,8 @@ Families:
 
 * ``repro_service_*`` — queue depth, jobs by state, submission /
   dedupe / rejection / completion counters, worker utilization, uptime;
-* ``repro_cache_*`` — ResultCache hits/misses/stores/invalidations
-  accumulated across every job the service has run;
+* ``repro_cache_*`` — ResultCache hits/misses/stores/invalidations and
+  skipped stores, accumulated across every job the service has run;
 * ``repro_last_job_*`` / ``repro_probe_*`` — gauges from the most
   recently completed job (wall time, mean p99, busy cores, telemetry
   trace-event count), the hook learned-policy consumers poll.
@@ -142,6 +142,11 @@ class MetricsRegistry:
             "repro_cache_stores_total", "counter",
             "ResultCache stores across all jobs run by this service.",
             [({}, cache.stores)],
+        )
+        family(
+            "repro_cache_store_failures_total", "counter",
+            "ResultCache stores skipped on a write error (results kept).",
+            [({}, cache.store_failures)],
         )
         family(
             "repro_cache_invalidations_total", "counter",

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -333,6 +335,23 @@ def test_memoized_part_reuses_equal_content():
     assert len(calls) == 3
     runner_mod._init_worker()
     assert runner_mod._WORKER_MEMO == {}
+
+
+def test_init_worker_imports_numpy_ma():
+    """``np.percentile`` imports ``numpy.ma`` on its first call; a pool
+    worker has it from ``_init_worker``, not from inside its first point."""
+    code = (
+        "import sys\n"
+        "from repro.parallel.runner import _init_worker\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "_init_worker()\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_run_sweep_serves_every_point_from_v1_directory(tmp_path):

@@ -2,13 +2,13 @@
 
 The batched memory walk (:meth:`CoreMemory.access_batch`, vectorized
 sampling, hashed per-set tag indexes) and the scheduler (the engine's
-batched same-timestamp drain, the subqueue status-code mirrors, the
-NumPy ready-scan kernels) must reproduce the original per-access /
-per-event implementations *exactly* — every counter, latency percentile,
-and resilience metric.  ``tests/data/golden_hotpath.json`` pins digests
+batched same-timestamp drain, the subqueues' status bytes searched with
+``bytearray.find``) must reproduce the original per-access / per-event
+implementations *exactly* — every counter, latency percentile, and
+resilience metric.  ``tests/data/golden_hotpath.json`` pins digests
 computed by those original implementations; these tests hold today's
-single implementation to them, and check the structural mirrors the
-hot paths rely on.
+single implementation to them, and check the structures the hot paths
+rely on: the cache sets' tag index, and the subqueues' status bytes.
 
 Regenerate the pins (only when intentionally changing simulation
 behavior) with ``PYTHONPATH=src python tests/_hotpath_golden.py --write``.
@@ -19,23 +19,12 @@ import pytest
 from repro.core.experiment import run_server_raw
 from repro.core.presets import harvest_block, hardharvest_block
 from repro.config import SimulationConfig
-from repro.hw.request_queue import (
-    CODE_BLOCKED,
-    CODE_READY,
-    CODE_RUNNING,
-    RequestStatus,
-)
+from repro.hw.request_queue import RequestStatus
 
 from tests._hotpath_golden import all_cases, case_label, load_golden, run_digest
 
 GOLDEN = load_golden()
 CASES = list(all_cases())
-
-_STATUS_CODE = {
-    RequestStatus.READY: CODE_READY,
-    RequestStatus.RUNNING: CODE_RUNNING,
-    RequestStatus.BLOCKED: CODE_BLOCKED,
-}
 
 
 @pytest.mark.parametrize(
@@ -64,7 +53,7 @@ def test_telemetry_is_zero_perturbation():
 
 
 # ----------------------------------------------------------------------
-# Structural mirror invariants
+# Structural invariants
 # ----------------------------------------------------------------------
 
 def _check_array(arr, label):
@@ -81,12 +70,12 @@ def _check_array(arr, label):
 
 
 def _check_subqueue(sq, label):
-    """``_codes``/``_ready_count`` must mirror the entry objects exactly."""
-    assert len(sq._codes) == len(sq.entries), label
-    for i, entry in enumerate(sq.entries):
-        assert sq._codes[i] == _STATUS_CODE[entry.status], f"{label} entry {i}"
-    ready = sum(1 for e in sq.entries if e.status is RequestStatus.READY)
-    assert sq._ready_count == ready, label
+    """One status byte per entry, each a :class:`RequestStatus`, and no
+    request queued twice (in hardware or in the overflow subqueue)."""
+    assert len(sq.status) == len(sq.entries), label
+    assert set(sq.status) <= set(RequestStatus), label
+    queued = [id(r) for r in sq.entries] + [id(r) for r in sq.overflow]
+    assert len(set(queued)) == len(queued), label
 
 
 def _subqueues(sim):
@@ -96,7 +85,7 @@ def _subqueues(sim):
         queue = vm.queue
         sq = getattr(queue, "_sq", None)  # SoftwareQueue
         if sq is None:
-            sq = queue.qm.subqueue  # SharedQueueAdapter
+            sq = queue.subqueue  # QueueManager
         out.append((sq, f"vm{vm.vm_id}.{type(queue).__name__}"))
     return out
 
@@ -137,13 +126,12 @@ def test_index_consistency_after_run():
     ids=["SW", "HardHarvest"],
 )
 def test_queue_mirror_consistency_after_run(preset):
-    """After a full run every subqueue's status-code mirror is coherent.
+    """After a full run every subqueue's status bytes are coherent.
 
-    ``_codes`` must track ``entries[i].status`` positionally and
-    ``_ready_count`` must equal the number of READY entries — the
-    invariant every fast-path enqueue/dequeue/block/shed must preserve.
-    Covers both queue shapes: software per-core steering queues and the
-    hardware QM subqueues.
+    ``status`` must hold one valid status byte per entry, positionally
+    aligned with ``entries`` — the invariant every enqueue, dequeue, block,
+    discard and shed must preserve.  Covers both queue shapes: software
+    per-core steering queues and the hardware QM subqueues.
     """
     sim = run_server_raw(
         preset(),

@@ -207,21 +207,6 @@ def test_point_exhausting_attempts_raises_sweep_error(monkeypatch):
         run_sweep(tiny_spec(n_systems=1, seeds=(0,)), workers=1)
 
 
-def test_retry_policy_delay_is_capped_exponential():
-    from repro.parallel import RetryPolicy
-
-    policy = RetryPolicy(backoff_base_s=0.05, backoff_multiplier=2.0,
-                         backoff_cap_s=0.15)
-    assert policy.delay(1) == pytest.approx(0.05)
-    assert policy.delay(2) == pytest.approx(0.10)
-    assert policy.delay(3) == pytest.approx(0.15)  # capped, not 0.20
-    assert policy.delay(10) == pytest.approx(0.15)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_multiplier=0.5)
-
-
 def test_backoff_sleeps_between_retry_rounds(monkeypatch):
     import repro.parallel.runner as runner_mod
 

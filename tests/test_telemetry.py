@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.cluster.server
 from repro.analysis.critical_path import critical_path_report, segment_requests
 from repro.config import SimulationConfig, TelemetryConfig
 from repro.core.experiment import run_server, run_server_raw
@@ -155,12 +156,16 @@ class TestZeroPerturbation:
         assert server_result_to_dict(summarize(sim)) == server_result_to_dict(off)
 
     def test_disabled_config_allocates_nothing(self):
-        sim = run_server_raw(
-            hardharvest_block(),
-            replace(FAST, telemetry=TelemetryConfig(enabled=False)),
-        )
-        assert sim.tracer is None
-        assert sim.probes is None
+        """Both spellings of "off" build no tracer and no probes, and
+        every hook calls the one empty function."""
+        for telemetry in (None, TelemetryConfig(enabled=False)):
+            sim = run_server_raw(
+                hardharvest_block(), replace(FAST, telemetry=telemetry)
+            )
+            assert sim.tracer is None, telemetry
+            assert sim.probes is None, telemetry
+            assert sim.emit is repro.cluster.server._no_emit, telemetry
+            sim.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Tests for VM-level queues: software per-core steering vs shared adapter."""
+"""Tests for VM-level queues: software per-core steering vs a hardware
+Queue Manager's shared subqueue."""
+
+import random
 
 import pytest
 
-from repro.cluster.vm import BatchUnit, HarvestVm, SharedQueueAdapter, SoftwareQueue
+from repro.cluster.vm import BatchUnit, HarvestVm, SoftwareQueue
 from repro.config import ControllerConfig
 from repro.hw.controller import HardHarvestController
 from repro.mem.address import AddressSpace
@@ -75,11 +78,83 @@ class TestSoftwareQueueSteering:
         assert q.pending() == 0
 
 
-class TestSharedQueueAdapter:
+class TestDeepSoftwareQueue:
+    """About 200 queued requests, ten times the deepest queue a simulated
+    run reaches, mixing steered, unsteered, blocked and excluded entries;
+    every answer is checked against a plain walk over ``[request, state]``
+    pairs in FIFO order."""
+
+    STEERS = (None, 0, 1, 2, 3)
+
+    @staticmethod
+    def oldest(model, core_id, exclude):
+        for req, state in model:
+            steer = req.steered_core_id
+            if state == "ready" and not (exclude and steer in exclude) and (
+                core_id is None or steer is None or steer == core_id
+            ):
+                return req
+        return None
+
+    def test_matches_a_plain_walk(self):
+        rng = random.Random(11)
+        q = SoftwareQueue(0)
+        model = []
+        deepest = most_blocked = excluded_hits = 0
+        for n in range(1000):
+            if n < 200 or rng.random() < 0.4:
+                req = FakeRequest(f"r{n}", rng.choice(self.STEERS))
+                q.enqueue(req)
+                model.append([req, "ready"])
+            if n < 200:
+                continue
+            blocked = [pair for pair in model if pair[1] == "blocked"]
+            if blocked and rng.random() < 0.3:
+                pair = rng.choice(blocked)
+                q.mark_ready(pair[0])
+                pair[1] = "ready"
+            deepest = max(deepest, len(model))
+            most_blocked = max(most_blocked, len(blocked))
+
+            core_id = rng.choice(self.STEERS)
+            exclude = set(rng.sample(range(4), rng.randint(0, 2))) or None
+            expected = self.oldest(model, core_id, exclude)
+            if expected is not self.oldest(model, core_id, None):
+                excluded_hits += 1
+            assert q.has_ready(core_id, exclude) is (expected is not None)
+            assert q.ready_steered_cores() == list(dict.fromkeys(
+                req.steered_core_id for req, state in model
+                if state == "ready" and req.steered_core_id is not None
+            ))
+            assert q.ready_count() == sum(state == "ready" for _, state in model)
+            assert q.pending() == len(model)
+
+            got = q.dequeue(core_id, exclude)
+            assert got is expected
+            if got is None:
+                continue
+            pair = next(pair for pair in model if pair[0] is got)
+            roll = rng.random()
+            if roll < 0.5:
+                q.mark_blocked(got)
+                pair[1] = "blocked"
+            elif roll < 0.8:
+                q.complete(got)
+                model.remove(pair)
+            else:
+                q.requeue(got)
+        assert deepest >= 200
+        assert most_blocked >= 20
+        assert excluded_hits >= 20
+
+
+class TestQueueManagerQueue:
+    """A hardware Primary VM's queue is its QM: one subqueue shared by the
+    VM's cores, so steering arguments are ignored."""
+
     def make(self):
         ctrl = HardHarvestController(ControllerConfig(), 36)
-        qm = ctrl.register_vm(0, True, 4)
-        return SharedQueueAdapter(qm)
+        return ctrl.register_vm(0, True, 4)
 
     def test_any_core_dequeues(self):
         q = self.make()
@@ -87,6 +162,8 @@ class TestSharedQueueAdapter:
         q.enqueue(a)
         # Shared subqueue: steering is irrelevant.
         assert q.has_ready(99)
+        assert q.has_ready(None, exclude_steered_to={5})
+        assert q.ready_steered_cores() == []
         assert q.dequeue(99) is a
 
     def test_ready_count(self):
@@ -98,6 +175,11 @@ class TestSharedQueueAdapter:
         q.mark_blocked(got)
         assert q.ready_count() == 1
         assert q.pending() == 2
+        assert q.occupancy() == (2, 0)
+        assert q.discard(got) is True
+        assert q.discard(got) is False
+        assert [r.name for r in q.drain()] == ["b"]
+        assert q.pending() == 0
 
 
 class TestHarvestVm:

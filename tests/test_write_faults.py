@@ -17,10 +17,15 @@ run: a result-cache entry, a checkpoint replay, a served job result.
 Fresh instances over the same directory then reach the clean run's
 digest, and no leftover temp file is ever read as an entry, a record or
 a checkpoint.
+
+A result-cache put that fails with ``OSError`` (``enospc``, ``short``) is
+skipped and counted: the run still returns the clean digest, and a
+service job still ends ``done`` and serves the clean result.
 """
 
 import errno
 import os
+import re
 import tempfile
 import threading
 import time
@@ -59,6 +64,7 @@ class FaultyDisk:
         self.fail_at = fail_at
         self.mode = mode
         self.calls = 0
+        self.paths = []
         self.dead = False
         self._lock = threading.Lock()
 
@@ -67,13 +73,17 @@ class FaultyDisk:
             if self.dead:
                 raise Died(path)
             self.calls += 1
+            self.paths.append(path)
             if self.calls != self.fail_at:
                 return REAL_WRITE(path, data)
             if self.mode == "enospc":
                 raise OSError(errno.ENOSPC, "No space left on device", path)
+            # As write_bytes does: else the first write into a new
+            # directory fails at mkstemp, neither short nor dying.
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
-                prefix=os.path.basename(path) + ".", suffix=".tmp",
-                dir=os.path.dirname(os.path.abspath(path)),
+                prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
             )
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data if self.mode == "death" else data[: len(data) // 2])
@@ -109,6 +119,13 @@ def _cases(writes):
     return [(k, mode) for mode in MODES for k in range(1, writes + 1)]
 
 
+def _skipped_put(path, mode):
+    """True if failing this write is a skipped cache put: an ``OSError``
+    (not a death) at a result-cache entry, ``<root>/<key[:2]>/<key>.json``."""
+    shard = os.path.basename(os.path.dirname(path))
+    return mode != "death" and re.fullmatch("[0-9a-f]{2}", shard) is not None
+
+
 def _entries(root):
     """Every cache entry on disk: ``{key: result}`` as ``get`` serves it."""
     cache = ResultCache(root=root)
@@ -130,15 +147,17 @@ def _assert_no_temp_is_read(root):
 # A two-point sweep with a cache.
 # ---------------------------------------------------------------------------
 def _sweep(root):
+    """The sweep's digest and its cache's counters."""
+    cache = ResultCache(root=root)
     outcome = run_sweep(parse_job_request(SWEEP).points(), workers=1,
-                        cache=ResultCache(root=root))
-    return sweep_results_digest(outcome.results)
+                        cache=cache)
+    return sweep_results_digest(outcome.results), cache.stats
 
 
 def test_sweep_survives_a_failed_kth_write(tmp_path, disk):
     clean_root = str(tmp_path / "clean")
     counter = disk()
-    clean = _sweep(clean_root)
+    clean, _ = _sweep(clean_root)
     disk(None)
     assert counter.calls == 2
     clean_entries = _entries(clean_root)
@@ -146,13 +165,18 @@ def test_sweep_survives_a_failed_kth_write(tmp_path, disk):
     for k, mode in _cases(counter.calls):
         root = str(tmp_path / f"{mode}-{k}")
         disk(k, mode)
-        with pytest.raises((OSError, Died)):
-            _sweep(root)
+        if _skipped_put(counter.paths[k - 1], mode):
+            digest, stats = _sweep(root)
+            assert digest == clean, (k, mode)
+            assert (stats.stores, stats.store_failures) == (1, 1), (k, mode)
+        else:
+            with pytest.raises(Died):
+                _sweep(root)
         disk(None)
         for key, result in _entries(root).items():
             assert result == clean_entries[key], (k, mode)
         _assert_no_temp_is_read(root)
-        assert _sweep(root) == clean, (k, mode)
+        assert _sweep(root)[0] == clean, (k, mode)
         assert _entries(root) == clean_entries, (k, mode)
 
 
@@ -168,16 +192,16 @@ def _cluster(root):
                                 list(BATCH_JOBS)),
         warn=lambda message: None,
     )
+    cache = ResultCache(root=root)
     result = run_cluster_scale(system, sim=request.sim, cfg=request.cluster,
-                               workers=1, cache=ResultCache(root=root),
-                               checkpoint=store)
-    return result, store
+                               workers=1, cache=cache, checkpoint=store)
+    return result, store, cache.stats
 
 
 def test_cluster_run_survives_a_failed_kth_write(tmp_path, disk):
     clean_root = str(tmp_path / "clean")
     counter = disk()
-    clean, clean_store = _cluster(clean_root)
+    clean, clean_store, _ = _cluster(clean_root)
     disk(None)
     assert counter.calls == 4 + 2  # a cache put per point, a checkpoint per epoch
     epochs = len(clean.epochs)
@@ -187,8 +211,13 @@ def test_cluster_run_survives_a_failed_kth_write(tmp_path, disk):
     for k, mode in _cases(counter.calls):
         root = str(tmp_path / f"{mode}-{k}")
         disk(k, mode)
-        with pytest.raises((OSError, Died)):
-            _cluster(root)
+        if _skipped_put(counter.paths[k - 1], mode):
+            result, _, stats = _cluster(root)
+            assert result.digest() == clean.digest(), (k, mode)
+            assert (stats.stores, stats.store_failures) == (3, 1), (k, mode)
+        else:
+            with pytest.raises((OSError, Died)):
+                _cluster(root)
         disk(None)
         for key, result in _entries(root).items():
             assert result == clean_entries[key], (k, mode)
@@ -197,7 +226,7 @@ def test_cluster_run_survives_a_failed_kth_write(tmp_path, disk):
         entries, _ = store.load(epochs)
         assert entries == clean_checkpoints[: len(entries)], (k, mode)
         _assert_no_temp_is_read(root)
-        resumed, _ = _cluster(root)
+        resumed, _, _ = _cluster(root)
         assert resumed.resumed_epochs == len(entries), (k, mode)
         assert resumed.digest() == clean.digest(), (k, mode)
 
@@ -253,6 +282,10 @@ def test_service_job_survives_a_failed_kth_write(tmp_path, disk):
                 assert client.healthz()["queue_depth"] == 0 or faulty.dead
             if job_id is not None:
                 status = _settle(client, job_id, faulty)
+                if _skipped_put(counter.paths[k - 1], mode):
+                    assert status["state"] == "done", (k, mode)
+                    assert "repro_cache_store_failures_total 1" in (
+                        client.metrics()), (k, mode)
                 if status["state"] == "done":
                     assert _served(client.result(job_id)) == clean, (k, mode)
                 elif status["state"] == "failed":
