@@ -2,7 +2,8 @@
 
 Measures the three layers of the data-plane fast path against the legacy
 data plane on one 128-server cluster configuration, and records the
-evidence that the optimization changed *nothing* about the results:
+evidence that the fast path changed nothing about the results each tree
+computes:
 
 * **Keying microbench** — legacy ``cache.key(point.payload())`` (full
   ``canonical_json`` per point) vs split-key
@@ -21,11 +22,16 @@ evidence that the optimization changed *nothing* about the results:
   exactly what this fast path optimizes.
 * **Disk footprint** — ``disk_stats()`` bytes of the v1 directory vs the
   v2 directory for the same entries.
-* **Digest gates** — the record is only written as passing if the cold
-  legacy, cold fast, warm legacy, and warm fast runs, the current tree
-  reading the legacy v1 directory (plus a scaled-down workers=1 vs
-  workers=N cross-check) all carry one bit-identical digest.  A speedup
-  that changed a digest is a bug, not a result.
+* **Digest gates** — the record is only written as passing if each
+  tree's cold and warm runs carry one digest, the current tree serves
+  none of the legacy v1 entries (a version bump salts every key) and
+  recomputes its own digest over them, and a scaled-down cross-check
+  (workers=1 and workers=N of the current tree, workers=1 of the legacy
+  one) agrees.  The two trees' full-size digests may differ: since 1.6.0
+  a server with no Primary arrivals ends at its horizon, where the
+  baseline ran it to the safety cap, and the small config has no such
+  server.  A speedup that changed a tree's own digest is a bug, not a
+  result.
 
 Needs the baseline commit in the local clone (full history).
 
@@ -47,14 +53,13 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 import repro
 from repro.cluster_scale import ROUTING_POLICY_NAMES
+from repro.cluster_scale.runner import _epoch_points
 from repro.config import SystemKind
 from repro.parallel.cache import ResultCache
-from repro.parallel.sweep import SweepPoint, clear_fragment_memo
-from repro.workloads.batch import BATCH_JOBS
+from repro.parallel.sweep import clear_fragment_memo
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _driver import build_cluster  # noqa: E402
@@ -94,21 +99,11 @@ def _spec(args) -> dict:
 
 
 def _sample_points(system, sim, cfg):
-    """Representative sweep points: one per server, as epoch 0 builds them."""
-    return [
-        SweepPoint(
-            label=f"epoch=0/server={i}",
-            system=system,
-            sim=replace(
-                sim,
-                horizon_ms=cfg.epoch_ms,
-                servers_to_simulate=cfg.servers,
-            ),
-            batch_job=BATCH_JOBS[i % len(BATCH_JOBS)],
-            server_index=i,
-        )
-        for i in range(cfg.servers)
-    ]
+    """Representative sweep points: one per server, as epoch 0 builds them
+    at nominal load."""
+    base = system.cluster.harvest_vm_base_cores
+    return _epoch_points(system, sim, cfg, 0, [base] * cfg.servers,
+                         [None] * cfg.servers)
 
 
 def _keying_bench(points, min_seconds=0.3):
@@ -228,15 +223,15 @@ def main(argv=None) -> int:
                 HEAD_SRC, spec, args.workers, dir_v2, warmups=1
             )
             warm_fast.append(t)
-        # And the current tree reading the *v1* directory: transparent
-        # migration under the same split keys, same digest.
-        progress("warm run: current tree over the legacy v1 directory")
-        _, digests["warm_fast_over_v1"], migrate_stats = _timed_run(
-            HEAD_SRC, spec, args.workers, dir_v1
-        )
-
         disk_v1 = ResultCache(root=dir_v1).disk_stats()
         disk_v2 = ResultCache(root=dir_v2).disk_stats()
+        # And the current tree over the *v1* directory: its version salts
+        # every key, so it serves none of the legacy entries and
+        # recomputes its own digest (adding its v2 entries beside them).
+        progress("cold run: current tree over the legacy v1 directory")
+        _, digests["fast_over_v1"], over_v1_stats = _timed_run(
+            HEAD_SRC, spec, args.workers, dir_v1
+        )
 
         # Scaled-down worker-count cross-check (cold at 1 and N workers).
         small = {**spec, "cluster": {
@@ -255,7 +250,11 @@ def main(argv=None) -> int:
     cross = {"workers1": w1, "workersN": wn, "workers1_legacy": w1_legacy,
              "identical": len({w1, wn, w1_legacy}) == 1}
 
-    main_digests_equal = len(set(digests.values())) == 1
+    digest_checks = {
+        "legacy_cold_eq_warm": digests["cold_legacy"] == digests["warm_legacy"],
+        "fast_cold_eq_warm": digests["cold_fast"] == digests["warm_fast"],
+        "fast_over_v1_eq_cold": digests["fast_over_v1"] == digests["cold_fast"],
+    }
     warm_speedup = min(warm_legacy) / min(warm_fast)
     compression = (
         disk_v1["bytes"] / disk_v2["bytes"] if disk_v2["bytes"] else 0.0
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
         "warm_fast_s": round(min(warm_fast), 3),
         "warm_speedup": round(warm_speedup, 2),
         "warm_hit_rate": warm_stats["hit_rate"],
-        "warm_over_v1_hit_rate": migrate_stats["hit_rate"],
+        "over_v1_hits": over_v1_stats["hits"],
         "disk_v1_bytes": disk_v1["bytes"],
         "disk_v2_bytes": disk_v2["bytes"],
         "disk_entries": disk_v2["entries"],
@@ -290,8 +289,9 @@ def main(argv=None) -> int:
                            "v2": disk_v2["by_format"]},
         "compression_ratio": round(compression, 2),
         "digest": digests["cold_fast"],
+        "legacy_digest": digests["cold_legacy"],
         "digests": digests,
-        "digests_equal": main_digests_equal,
+        "digest_checks": digest_checks,
         "cross_check": cross,
         "gates": {
             "min_warm_speedup": args.min_warm_speedup,
@@ -300,15 +300,16 @@ def main(argv=None) -> int:
     }
 
     failures = []
-    if not main_digests_equal:
-        failures.append(f"digests diverged: {digests}")
+    for check, held in digest_checks.items():
+        if not held:
+            failures.append(f"digest check {check} failed: {digests}")
     if not cross["identical"]:
         failures.append(f"worker-count cross-check diverged: {cross}")
     if warm_stats["hit_rate"] < 1.0:
         failures.append(f"warm fast run missed the cache: {warm_stats}")
-    if migrate_stats["hit_rate"] < 1.0:
+    if over_v1_stats["hits"]:
         failures.append(
-            f"current tree missed over the v1 directory: {migrate_stats}"
+            f"current tree served legacy v1 entries: {over_v1_stats}"
         )
     if args.min_warm_speedup and warm_speedup < args.min_warm_speedup:
         failures.append(

@@ -70,7 +70,10 @@ from repro.faults import (
 # part of every cache key); the bump invalidates pre-telemetry entries.
 # 1.5.0: the version now also salts service job ids (repro.service), so
 # the bump rolls every job id along with every cache key.
-__version__ = "1.5.0"
+# 1.6.0: a server with no Primary arrivals ends at its horizon instead of
+# running its batch job to the safety cap, and cluster points no longer
+# carry the cluster size; the bump keeps 1.5.0 entries from being served.
+__version__ = "1.6.0"
 
 from repro.parallel import (  # noqa: E402 - needs __version__ for cache keys
     ResultCache,

@@ -173,6 +173,16 @@ def _write_stats_json(path: str, payload: dict) -> None:
     print(f"wrote run stats to {path}")
 
 
+def _print_cache_summary(cache_dir: str, stats) -> None:
+    """The one-line cache summary of ``sweep``, ``cluster`` and ``faults``;
+    it names failed stores when there were any."""
+    failed = (f", {stats.store_failures} store(s) failed"
+              if stats.store_failures else "")
+    print(f"cache [{cache_dir}]: {stats.hits} hit(s), "
+          f"{stats.misses} miss(es), {stats.invalidations} invalidated"
+          f"{failed} ({stats.hit_rate() * 100:.0f}% hit rate)")
+
+
 def _parse_job(args: argparse.Namespace, body: dict):
     """Parse a job body built from ``sweep``/``cluster`` flags with the
     service's validator.
@@ -255,10 +265,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(f"\n{cfg.servers * cfg.epochs} server-epoch(s) in "
           f"{result.elapsed_s:.1f}s with {args.workers} worker(s)")
     if cache is not None:
-        stats = cache.stats
-        print(f"cache [{args.cache_dir}]: {stats.hits} hit(s), "
-              f"{stats.misses} miss(es) "
-              f"({stats.hit_rate() * 100:.0f}% hit rate)")
+        _print_cache_summary(args.cache_dir, cache.stats)
     if args.json:
         write_cluster_scale_json(args.json, result)
         print(f"wrote JSON results to {args.json}")
@@ -364,10 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"{args.workers} worker(s): {outcome.computed} computed, "
           f"{outcome.from_cache} from cache, {outcome.retried} retried")
     if cache is not None:
-        stats = cache.stats
-        print(f"cache [{args.cache_dir}]: {stats.hits} hit(s), "
-              f"{stats.misses} miss(es), {stats.invalidations} invalidated "
-              f"({stats.hit_rate() * 100:.0f}% hit rate)")
+        _print_cache_summary(args.cache_dir, cache.stats)
     if args.json:
         write_sweep_json(args.json, outcome.results)
         print(f"wrote JSON results to {args.json}")
@@ -457,10 +461,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
           f"{args.workers} worker(s): {outcome.computed} computed, "
           f"{outcome.from_cache} from cache")
     if cache is not None:
-        stats = cache.stats
-        print(f"cache [{args.cache_dir}]: {stats.hits} hit(s), "
-              f"{stats.misses} miss(es) "
-              f"({stats.hit_rate() * 100:.0f}% hit rate)")
+        _print_cache_summary(args.cache_dir, cache.stats)
     if args.json:
         write_sweep_json(args.json, results)
         print(f"wrote JSON results to {args.json}")

@@ -288,6 +288,7 @@ class ServerSimulation:
         simcfg = self.simcfg
         horizon_ns = int(simcfg.horizon_ms * 1e6)
         warmup_ns = int(simcfg.warmup_ms * 1e6)
+        last_arrival_ns = 0
         # One burst schedule per server: the services of an application
         # surge together (a user-traffic spike fans out through all of them).
         burst_windows = generate_burst_schedule(
@@ -310,6 +311,8 @@ class ServerSimulation:
                     simcfg.load_scale,
                     simcfg.requests_per_service,
                 )
+            if arrivals:
+                last_arrival_ns = max(last_arrival_ns, arrivals[-1])
             for t in arrivals:
                 blocks = draw_blocking_calls(profile, dem_rng)
                 exec_ns = int(draw_exec_time_us(profile, dem_rng) * 1000)
@@ -340,6 +343,10 @@ class ServerSimulation:
         self.counters.incr("requests_arrived", req_id)
         #: Continuation of the pre-drawn id space for retry/hedge attempts.
         self._next_req_id = req_id
+        self._horizon_ns = horizon_ns
+        #: Safety cap on a loaded run's drain: generous time after the
+        #: last arrival, so only a runaway config ever reaches it.
+        self._cap_ns = 5 * last_arrival_ns + 10 * SEC
 
     def _trace_driven_arrivals(self, vm, arr_rng, horizon_ns: int):
         """Arrivals at the rates of a matched Alibaba instance (Section 5).
@@ -371,7 +378,13 @@ class ServerSimulation:
     # Run loop
     # ==================================================================
     def run(self) -> None:
-        """Run until all Primary requests complete (or the safety cap)."""
+        """Run a loaded server until every Primary request resolves, and
+        one with no Primary arrivals to its horizon.
+
+        A loaded run stops at the safety cap at the latest, counting
+        ``horizon_cap_hit``; one that runs out of events first ends at
+        its last event.
+        """
         if self._closed:
             raise RuntimeError("cannot run a closed ServerSimulation")
         if self.probes is not None:
@@ -383,14 +396,16 @@ class ServerSimulation:
             if hvm.active:
                 for core in hvm.cores:
                     self._start_batch_unit(core)
-        cap_ns = self._horizon_cap()
-        # pending_live_events: a heap holding only cancelled deadline
-        # timers (retry-heavy fault runs) is already drained.
-        while not self._finished and self.sim.pending_live_events:
-            self.sim.run(max_events=20_000)
-            if self.sim.now > cap_ns:
-                self.counters.incr("horizon_cap_hit")
-                break
+        if not self._target_completions:
+            # Nothing to drain: the run covers its epoch, so its rates do.
+            self.sim.run(until=self._horizon_ns)
+            self.end_ns = self._horizon_ns
+            return
+        self.sim.run(until=self._cap_ns)
+        # Live events left unfired (a heap of cancelled deadline timers is
+        # drained): the cap, not the drain, ended the run.
+        if not self._finished and self.sim.pending_live_events:
+            self.counters.incr("horizon_cap_hit")
         self.end_ns = max(self.sim.now, 1)
 
     def close(self) -> None:
@@ -413,20 +428,6 @@ class ServerSimulation:
         for part in (self.probes, self.injector, self.client):
             if part is not None:
                 part.server = None
-
-    def _horizon_cap(self) -> int:
-        last = self.sim.peek_next_time() or 0
-        # Arrivals were scheduled up front, so the heap's max arrival bounds
-        # the workload span; allow generous drain time after it.
-        return max(
-            int(5 * self._max_arrival_ns()) + 10 * SEC,
-            last + 10 * SEC,
-        )
-
-    def _max_arrival_ns(self) -> int:
-        return max(
-            (r.time for _, _, r in self.sim._heap), default=0
-        ) if self.sim._heap else 0
 
     # ==================================================================
     # Utilization bookkeeping

@@ -495,6 +495,9 @@ class CheckpointStore:
     version: str = field(default_factory=lambda: repro.__version__)
     #: Warning sink (e.g. the runner's ``progress`` callable).
     warn: Optional[Callable[[str], None]] = None
+    #: Saves the runner skipped on an ``OSError`` (a full disk, say): the
+    #: run keeps its results, and a resume recomputes from the gap.
+    save_failures: int = 0
 
     @property
     def run_dir(self) -> str:

@@ -82,7 +82,8 @@ def _epoch_points(
 
     Server ``i`` runs batch job ``BATCH_JOBS[i % 8]`` with
     ``server_index=i``, the paper's one-batch-application-per-server
-    cluster.
+    cluster.  A point is one server whatever the cluster's size, so it
+    carries ``servers_to_simulate=1`` and its cache key holds no size.
 
     Fault plans materialize here: the plan's events for (epoch, server)
     become that point's ``SimulationConfig.faults`` and the plan's client
@@ -98,7 +99,7 @@ def _epoch_points(
         horizon_ms=cfg.epoch_ms,
         warmup_ms=cfg.warmup_ms,
         seed=derive_epoch_seed(sim.seed, epoch),
-        servers_to_simulate=cfg.servers,
+        servers_to_simulate=1,
     )
     if plan is not None and plan.client is not None:
         epoch_sim = replace(epoch_sim, client=plan.client)
@@ -161,7 +162,9 @@ def run_cluster_scale(
 
     ``checkpoint`` persists every epoch barrier to disk; the run first
     replays the longest valid checkpoint prefix and only simulates the
-    remaining epochs.  A resumed run's
+    remaining epochs.  A save that fails with ``OSError`` is warned
+    about, counted in ``checkpoint.save_failures`` and skipped; the run
+    still returns its result.  A resumed run's
     digest is bit-identical to an uninterrupted one because the barrier
     state (harvest allocation, routing carryover, health cool-downs)
     round-trips exactly and all per-epoch randomness derives from
@@ -311,18 +314,27 @@ def run_cluster_scale(
             )
 
             if checkpoint is not None:
-                checkpoint.save(
-                    epoch,
-                    epochs[-1].to_dict(),
-                    {
-                        "next_epoch": epoch + 1,
-                        "alloc": [int(a) for a in alloc],
-                        "carryover": [float(c) for c in carryover],
-                        "cooldown": (
-                            list(health.cooldown) if health is not None else None
-                        ),
-                    },
-                )
+                try:
+                    checkpoint.save(
+                        epoch,
+                        epochs[-1].to_dict(),
+                        {
+                            "next_epoch": epoch + 1,
+                            "alloc": [int(a) for a in alloc],
+                            "carryover": [float(c) for c in carryover],
+                            "cooldown": (
+                                list(health.cooldown) if health is not None
+                                else None
+                            ),
+                        },
+                    )
+                except OSError as exc:
+                    # Like a cache put, a checkpoint only saves time: the
+                    # epoch's results are in hand, and a resume restores
+                    # the longest consecutive prefix.
+                    checkpoint.save_failures += 1
+                    checkpoint._warn(f"epoch {epoch} not saved ({exc}); "
+                                     "continuing without it")
 
     result = ClusterScaleResult(
         system=system.name,

@@ -270,7 +270,9 @@ class ResultCache:
             entry = self._decode(blob)
             if entry["version"] != self.version:
                 raise ValueError("stale cache entry")
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # No entry, or a plain file where its shard directory should
+            # be: a miss, not a corrupt entry.
             self.stats.misses += 1
             return None
         except (ValueError, OSError, zlib.error):

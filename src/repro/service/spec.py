@@ -221,6 +221,12 @@ def build_simulation(data: Optional[Dict[str, Any]],
             raise JobValidationError(
                 "simulation", "serialized simulation is not a SimulationConfig"
             )
+        # Cast as the plain form is, so both forms of one simulation get
+        # one job id and one cache key.
+        sim = SimulationConfig(**_typed(
+            SimulationConfig,
+            {name: getattr(sim, name) for name in _hints(SimulationConfig)},
+        ))
     else:
         fields = dict(data)
         for key in ("faults", "client", "telemetry"):
@@ -553,4 +559,7 @@ def job_content_id(request: JobRequest, cache=None) -> str:
     identity payload (duplicate submissions collide by construction)."""
     from repro.parallel.cache import ResultCache
 
-    return (cache or ResultCache()).key(request.identity())
+    # Not ``cache or ...``: a cache with no entries on disk is falsy.
+    if cache is None:
+        cache = ResultCache()
+    return cache.key(request.identity())

@@ -175,7 +175,9 @@ class Simulator:
         Stops when the event heap is empty, when the next event is past
         ``until`` (clock is then advanced to ``until``), after
         ``max_events`` events, or when an event calls :meth:`stop`.
-        Returns the number of events fired.
+        Returns the number of events fired.  A heap that runs out of live
+        events before ``until`` leaves the clock at its last event: only
+        an event still pending past ``until`` moves the clock there.
 
         Batched drain: every event stamped ``t`` runs before the clock,
         the probe side-heap or the ``until`` bound is consulted again, so
@@ -239,7 +241,8 @@ class Simulator:
                 # Fold the batch's count back at the barrier so probes (and
                 # anything else reading between batches) see a live total.
                 self._events_fired = base_fired + fired
-            if until is not None and self.now < until and not self._stop_requested:
+            if (until is not None and self.now < until
+                    and not self._stop_requested and self.pending_live_events):
                 if self._probes:
                     self._fire_probes_until(until)
                 self.now = until

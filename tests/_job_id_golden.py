@@ -9,9 +9,12 @@ ints and floats are normalized, which defaults fill omitted fields, and
 how a cluster body expands into system, simulation and cluster configs.
 A parser refactor must leave every pin byte-identical.
 
-Ids are computed with ``ResultCache(version="golden")`` (not the package
-version), so routine version bumps never move the pins; only a change to
-what a body means should.
+Ids are computed with ``ResultCache(version=GOLDEN_VERSION)``, not the
+package version, so routine version bumps never move the pins; only a
+change to what a body means should.  The pins were written under package
+version 1.5.0 (``job_content_id`` then dropped an empty cache, which is
+falsy, for one salted with the package version), so that is the string
+they are held to.
 
 Regenerate with ``PYTHONPATH=src python tests/_job_id_golden.py --write``.
 """
@@ -30,7 +33,7 @@ GOLDEN_PATH = os.path.join(
 )
 
 #: The version string baked into every pinned id.
-GOLDEN_VERSION = "golden"
+GOLDEN_VERSION = "1.5.0"
 
 TINY = {"horizon_ms": 12.0, "warmup_ms": 2.0, "accesses_per_segment": 3}
 

@@ -32,6 +32,24 @@ def test_cluster_command_fast(capsys, tmp_path):
     assert "0 hit(s), 2 miss(es)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--systems", "NoHarvest", "--seeds", "0..1"],
+    ["cluster", "--system", "NoHarvest", "--servers", "2"],
+], ids=["sweep", "cluster"])
+def test_cache_summary_names_failed_stores(argv, capsys, tmp_path):
+    # Every shard name is a plain file: no entry can be read or stored.
+    # That is a miss and a failed store per point, not an invalidation.
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    for shard in range(256):
+        (blocked / f"{shard:02x}").write_text("")
+    assert main(argv + ["--horizon-ms", "6", "--accesses", "2",
+                        "--cache-dir", str(blocked)]) == 0
+    out = capsys.readouterr().out
+    assert (f"cache [{blocked}]: 0 hit(s), 2 miss(es), 0 invalidated, "
+            "2 store(s) failed (0% hit rate)") in out
+
+
 @pytest.mark.parametrize("flags,field", [
     (["--epochs", "0"], "epochs"),
     (["--harvest-max", "40"], "harvest_max_cores"),

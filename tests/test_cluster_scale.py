@@ -8,6 +8,7 @@ paper's independent servers, ``run_server`` by ``run_server``, exactly.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,9 +109,32 @@ def test_degenerate_matches_legacy_run_cluster(tmp_path):
         job = BATCH_JOBS[i % len(BATCH_JOBS)]
         theirs = run_server(system, sim, job, server_index=i)
         assert server_result_to_dict(ours) == server_result_to_dict(theirs)
-        point = SweepPoint(label=f"server={i}", system=system, sim=sim,
+        # A server point is keyed without the cluster's size.
+        point = SweepPoint(label=f"server={i}",
+                           system=system,
+                           sim=replace(sim, servers_to_simulate=1),
                            batch_job=job, server_index=i)
         assert cache.get(cache.key(point.payload())) is not None
+
+
+def test_a_server_point_is_keyed_without_the_cluster_size(tmp_path):
+    # The job spec sets servers_to_simulate to the cluster size; the
+    # points must not carry it, so servers 0 and 1 of a 4-server run hit
+    # the entries a 2-server run stored.
+    from repro.service.spec import parse_job_request
+
+    cache = ResultCache(root=str(tmp_path))
+    for servers, hits in ((2, 0), (4, 2)):
+        request = parse_job_request({
+            "kind": "cluster", "system": "NoHarvest",
+            "cluster": {"servers": servers},
+            "simulation": {"horizon_ms": 10, "accesses_per_segment": 2},
+        })
+        assert request.sim.servers_to_simulate == servers
+        before = cache.stats.hits
+        run_cluster_scale(request.cluster_system(), request.sim,
+                          request.cluster, cache=cache)
+        assert cache.stats.hits - before == hits, servers
 
 
 def test_seed_changes_digest():

@@ -127,6 +127,23 @@ def test_int_for_float_field_is_cast():
     assert type(request.cluster.epoch_ms) is float
 
 
+def test_both_simulation_forms_get_one_job_id():
+    from repro.config import SimulationConfig
+    from repro.core.serialize import to_dict
+
+    body = {"kind": "sweep", "systems": "NoHarvest", "seeds": "0"}
+    forms = [
+        {"horizon_ms": 12, "warmup_ms": 2, "accesses_per_segment": 3},
+        to_dict(SimulationConfig(horizon_ms=12.0, warmup_ms=2.0,
+                                 accesses_per_segment=3)),
+        to_dict(SimulationConfig(horizon_ms=12, warmup_ms=2,
+                                 accesses_per_segment=3)),
+    ]
+    ids = {job_content_id(parse_job_request({**body, "simulation": form}))
+           for form in forms}
+    assert len(ids) == 1
+
+
 def test_harvest_base_and_cooldown_reach_the_configs():
     body = {"kind": "cluster", "cluster": {"servers": 2, "epochs": 3},
             "fault_plan": "crash-storm"}

@@ -59,6 +59,15 @@ def test_run_until_advances_clock_without_firing_later_events():
     assert fired == [1]
 
 
+def test_run_until_over_a_drained_heap_leaves_the_clock_at_its_last_event():
+    sim = Simulator()
+    sim.schedule(30, lambda: None)
+    sim.schedule(60, lambda: None).cancel()
+    sim.run(until=100)
+    assert sim.now == 30
+    assert sim.pending_live_events == 0
+
+
 def test_max_events_limits_execution():
     sim = Simulator()
     count = []

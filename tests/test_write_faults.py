@@ -18,9 +18,10 @@ Fresh instances over the same directory then reach the clean run's
 digest, and no leftover temp file is ever read as an entry, a record or
 a checkpoint.
 
-A result-cache put that fails with ``OSError`` (``enospc``, ``short``) is
-skipped and counted: the run still returns the clean digest, and a
-service job still ends ``done`` and serves the clean result.
+A result-cache put or a checkpoint save that fails with ``OSError``
+(``enospc``, ``short``) is skipped and counted: the run still returns
+the clean digest, and a service job still ends ``done`` and serves the
+clean result.
 """
 
 import errno
@@ -211,13 +212,16 @@ def test_cluster_run_survives_a_failed_kth_write(tmp_path, disk):
     for k, mode in _cases(counter.calls):
         root = str(tmp_path / f"{mode}-{k}")
         disk(k, mode)
-        if _skipped_put(counter.paths[k - 1], mode):
-            result, _, stats = _cluster(root)
-            assert result.digest() == clean.digest(), (k, mode)
-            assert (stats.stores, stats.store_failures) == (3, 1), (k, mode)
-        else:
-            with pytest.raises((OSError, Died)):
+        if mode == "death":
+            with pytest.raises(Died):
                 _cluster(root)
+        else:
+            result, store, stats = _cluster(root)
+            assert result.digest() == clean.digest(), (k, mode)
+            put = _skipped_put(counter.paths[k - 1], mode)
+            assert (stats.stores, stats.store_failures) == (
+                (3, 1) if put else (4, 0)), (k, mode)
+            assert store.save_failures == (0 if put else 1), (k, mode)
         disk(None)
         for key, result in _entries(root).items():
             assert result == clean_entries[key], (k, mode)
