@@ -1,4 +1,5 @@
-"""Assertions CI runs against ``--stats-json`` / ``--json`` artifacts.
+"""Assertions CI runs against ``--stats-json`` / ``--json`` artifacts and
+benchmark records.
 
 The smoke jobs used to grep human-oriented CLI output ("10 from cache",
 "100% hit rate") — brittle against copy changes and silent about *why* a
@@ -8,23 +9,19 @@ the CLI writes and asserts the same invariants explicitly:
 * ``cache-stats FILE --expect cold|warm`` — a cold run computed every
   point (zero hits); a warm run served every point from the cache
   (hit rate 1.0, zero computed).
-* ``digests-equal FILE FILE...`` — every stats file carries the same
-  ``digest`` (the sharding-determinism gate for ``cluster-smoke``).
+* ``digests-equal FILE FILE...`` — every stats file or benchmark record
+  carries the same ``digest`` (the sharding-determinism gate for
+  ``cluster-smoke``, worker-count parity for ``chaos-smoke``).
 * ``fault-counters FILE`` — the exported fault-scenario JSON carries
   sane degradation counters for every system.
-* ``chaos-stats FILE...`` — each chaos-soak record proves SIGKILL
-  recovery was bit-identical (resumed digest == uninterrupted digest)
-  and that the resume actually replayed checkpoints; with several files,
-  they must all share one uninterrupted digest (worker-count parity).
+* ``records-ok FILE...`` — each benchmark record
+  (``benchmarks/_timing.write_record``) says ``ok: true``, which its
+  script sets only when every one of its gates passed.
 * ``metrics-text FILE`` — the scraped ``/metrics`` exposition is valid
   Prometheus text and carries the service's required metric families.
 * ``warm-speedup COLD WARM`` — the warm re-run of the same config hit
   the cache for (almost) every point and beat the cold run's wall time
   by at least ``--min-ratio`` (the data-plane warm-path gate).
-* ``service-stats FILE`` — the ``service_smoke.py`` record proves the
-  API served digests byte-equal to the direct CLI, deduped duplicate
-  submissions, exited 0 on SIGTERM, and left none of its child
-  processes (its slots' pool workers) alive.
 * ``trace-ticks FILE`` — an exported Perfetto ``trace.json`` holds the
   software agent's ticks on its server track.
 
@@ -120,38 +117,15 @@ def check_fault_counters(args: argparse.Namespace) -> int:
     return 0
 
 
-def check_chaos_stats(args: argparse.Namespace) -> int:
-    reference_digests = {}
+def check_records_ok(args: argparse.Namespace) -> int:
     for path in args.files:
         record = _load(path)
-        if not record.get("digests_equal"):
-            return _fail(
-                f"{path}: resumed digest {record.get('resumed_digest')} != "
-                f"uninterrupted {record.get('uninterrupted_digest')}"
-            )
-        if record["resumed_digest"] != record["uninterrupted_digest"]:
-            return _fail(f"{path}: digests_equal flag lies: {record}")
-        if record.get("resumed_from_epoch", 0) < 1:
-            return _fail(
-                f"{path}: resume started from epoch "
-                f"{record.get('resumed_from_epoch')} — no checkpoint was "
-                f"actually replayed"
-            )
-        if not record.get("killed"):
-            # Still digest-identical, but the soak lost its teeth; note it
-            # loudly so a chronically-too-fast victim gets retuned.
-            print(f"WARN: {path}: victim finished before the SIGKILL; "
-                  f"resume was a full checkpoint replay")
-        if not record.get("resilience_curve"):
-            return _fail(f"{path}: no per-epoch resilience curve recorded")
-        reference_digests[path] = record["uninterrupted_digest"]
-    if len(set(reference_digests.values())) != 1:
-        lines = "\n".join(f"  {p}: {d}" for p, d in reference_digests.items())
-        return _fail(
-            f"uninterrupted digests differ across worker counts:\n{lines}"
-        )
-    print(f"OK: {len(args.files)} chaos record(s), recovery bit-identical, "
-          f"shared digest {next(iter(reference_digests.values()))[:16]}…")
+        failed = {name: gate for name, gate in record["gates"].items()
+                  if not gate["ok"]}
+        if failed or record["ok"] is not True:
+            return _fail(f"{path}: record not ok; failed gate(s): {failed}")
+        print(f"OK: {path}: {record['benchmark']}, "
+              f"{len(record['gates'])} gate(s) passed")
     return 0
 
 
@@ -222,48 +196,6 @@ def check_metrics_text(args: argparse.Namespace) -> int:
     return 0
 
 
-def check_service_stats(args: argparse.Namespace) -> int:
-    record = _load(args.file)
-    for flag in ("dedupe_same_id", "dedupe_not_recreated",
-                 "sweep_digests_equal", "cluster_digests_equal"):
-        if not record.get(flag):
-            return _fail(
-                f"{args.file}: {flag} is {record.get(flag)!r} "
-                f"(sweep {record.get('sweep_digest_service')} vs "
-                f"{record.get('sweep_digest_cli')}, cluster "
-                f"{record.get('cluster_digest_service')} vs "
-                f"{record.get('cluster_digest_cli')})"
-            )
-    if record.get("server_exit") != 0:
-        return _fail(
-            f"{args.file}: server exited {record.get('server_exit')} on "
-            f"SIGTERM, wanted 0; log tail:\n{record.get('server_log_tail')}"
-        )
-    if record.get("server_children", 0) < 1:
-        return _fail(
-            f"{args.file}: no child process of the server was seen before "
-            "SIGTERM, so its slot pools were not checked"
-        )
-    if record.get("children_alive_after_exit") != 0:
-        return _fail(
-            f"{args.file}: {record.get('children_alive_after_exit')} of the "
-            f"server's {record['server_children']} child process(es) outlived it"
-        )
-    if record.get("soak") and record.get("storm_unique_ids") != 1:
-        return _fail(
-            f"{args.file}: duplicate storm produced "
-            f"{record.get('storm_unique_ids')} job id(s), wanted 1"
-        )
-    if not record.get("ok"):
-        return _fail(f"{args.file}: record not ok: {record}")
-    print(f"OK: {args.file}: service digests match CLI "
-          f"(sweep {record['sweep_digest_service'][:16]}…, "
-          f"cluster {record['cluster_digest_service'][:16]}…), "
-          f"dedupe held, server exit 0, none of its "
-          f"{record['server_children']} child process(es) left")
-    return 0
-
-
 def check_trace_ticks(args: argparse.Namespace) -> int:
     events = _load(args.file).get("traceEvents", [])
     ticks = [ev for ev in events
@@ -297,10 +229,10 @@ def main(argv=None) -> int:
                    help="expected crash/restart count per system")
     p.set_defaults(func=check_fault_counters)
 
-    p = sub.add_parser("chaos-stats",
-                       help="assert SIGKILL-and-resume digest parity")
+    p = sub.add_parser("records-ok",
+                       help="assert benchmark records passed every gate")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=check_chaos_stats)
+    p.set_defaults(func=check_records_ok)
 
     p = sub.add_parser("warm-speedup",
                        help="assert warm-run hit rate + wall-time ratio")
@@ -314,11 +246,6 @@ def main(argv=None) -> int:
                        help="validate a scraped /metrics exposition")
     p.add_argument("file")
     p.set_defaults(func=check_metrics_text)
-
-    p = sub.add_parser("service-stats",
-                       help="assert the service-smoke record's invariants")
-    p.add_argument("file")
-    p.set_defaults(func=check_service_stats)
 
     p = sub.add_parser("trace-ticks",
                        help="assert a Perfetto trace holds agent ticks")

@@ -1,7 +1,7 @@
-"""Shared measurement machinery for the speedup/overhead benchmarks.
+"""Shared machinery of the benchmark scripts: how they measure, and the
+one record they all write.
 
-Every benchmark in this directory follows the same methodology, extracted
-here so the scripts stay thin and measure the same way:
+Every benchmark in this directory measures the same way:
 
 * **Interleaved rounds.** Comparing modes A/B/C as A,B,C,A,B,C (instead
   of A,A,B,B,C,C) cancels CPU-frequency drift on throttling hosts: every
@@ -12,14 +12,24 @@ here so the scripts stay thin and measure the same way:
   being descheduled; wall time is recorded alongside for context.
 * **Digest guards.** A speedup between modes is only meaningful if the
   modes computed the same thing; every run reports the digest of its full
-  result and :func:`require_same_digest` aborts the benchmark on any
-  divergence, so a reported number can never come from a behavioral
-  shortcut.
+  result, and :func:`digest_gate` makes "every run has one digest" a gate
+  of the record, so a number from a behavioral shortcut never passes.
 * **Pinned baseline.** The speedup benchmarks time the current tree
   against :data:`BASELINE_COMMIT`, unpacked by :func:`baseline_src`:
   each run is one ``benchmarks/_driver.py`` process
   (:func:`run_driver`) importing ``repro`` from the tree under test, so
   both sides are timed by the same code.
+
+Every script ends in :func:`write_record`, which writes
+``bench_results/BENCH_<benchmark>.json`` in one schema::
+
+    {benchmark, commit, baseline_commit, version, cpus, python, config,
+     end_to_end, digest, gates, ok, detail}
+
+Each gate is ``{value, min, ok}`` for a numeric floor (made by
+:func:`gate`) or ``{value, ok}`` for a condition, ``ok`` is the
+conjunction of the gates, ``detail`` holds what no check reads, and the
+script exits 1 exactly when ``ok`` is false.
 """
 
 from __future__ import annotations
@@ -29,13 +39,14 @@ import gc
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: The timing baseline: the last commit that still carries the in-tree
 #: reference implementations the speedup benchmarks divide by, selected
@@ -183,29 +194,130 @@ def best_wall(samples: Iterable[Sample]) -> float:
     return min(s.wall for s in samples)
 
 
-def require_same_digest(samples: Dict[str, List[Sample]]) -> str:
-    """All modes must have produced one identical digest; returns it.
+def gate(value: Any, minimum: Optional[float] = None) -> Dict[str, Any]:
+    """One gate of a record: a figure that passes at ``minimum`` or
+    above, or, without a minimum, a condition that passes when true.
+    Pass ``value`` as it should be recorded (rounded), so ``ok`` always
+    agrees with what the record shows."""
+    if minimum is None:
+        return {"value": bool(value), "ok": bool(value)}
+    return {"value": value, "min": minimum, "ok": value >= minimum}
 
-    Raises ``RuntimeError`` otherwise — the caller should let that abort
-    the benchmark, because timing numbers for diverging computations are
-    meaningless.
-    """
-    digests = {s.value for mode in samples.values() for s in mode}
+
+def digest_gate(samples: Dict[str, List[Sample]]) -> Tuple[str, Dict[str, Any]]:
+    """The record's digest, the first mode's first run's, and the gate
+    that every run of every mode reproduced it.  A divergence is printed
+    with every digest seen."""
+    digests = {s.value for runs in samples.values() for s in runs}
     if len(digests) != 1:
-        raise RuntimeError(
-            f"benchmark modes produced different result digests: {sorted(digests)}"
+        print(f"modes produced different result digests: {sorted(digests)}",
+              file=sys.stderr)
+    return next(iter(samples.values()))[0].value, gate(len(digests) == 1)
+
+
+def _commit() -> Optional[str]:
+    """This checkout's ``git rev-parse HEAD``, or None outside git."""
+    try:
+        done = subprocess.run(
+            ["git", "-C", _REPO, "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
         )
-    return digests.pop()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
 
 
-def write_record(record: dict, filename: str, out: Optional[str] = None) -> str:
-    """Write a benchmark record under ``bench_results/`` (or ``out``) and
-    echo it; returns the path written."""
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = out or os.path.join(out_dir, filename)
-    with open(out_path, "w") as fh:
+def write_record(
+    benchmark: str,
+    config: Dict[str, Any],
+    end_to_end: Dict[str, Any],
+    digest: Optional[str],
+    gates: Dict[str, Dict[str, Any]],
+    detail: Optional[Dict[str, Any]] = None,
+    out: Optional[str] = None,
+    baseline: bool = False,
+) -> int:
+    """Write one benchmark record and return the script's exit status:
+    0 when every gate passed, else 1 (naming each failed gate).
+
+    The record goes to ``out``, by default
+    ``bench_results/BENCH_<benchmark>.json``.  It is stamped with this
+    checkout's commit, the package version, the CPU count and the Python
+    version, and with :data:`BASELINE_COMMIT` when ``baseline`` (the run
+    timed that commit too).
+    """
+    import repro
+
+    record = {
+        "benchmark": benchmark,
+        "commit": _commit(),
+        "baseline_commit": BASELINE_COMMIT if baseline else None,
+        "version": repro.__version__,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "config": config,
+        "end_to_end": end_to_end,
+        "digest": digest,
+        "gates": gates,
+        "ok": all(g["ok"] for g in gates.values()),
+        "detail": detail or {},
+    }
+    path = out or os.path.join(_REPO, "bench_results", f"BENCH_{benchmark}.json")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print(json.dumps(record, indent=2))
-    return out_path
+    for name, failed in gates.items():
+        if not failed["ok"]:
+            print(f"FAIL: gate {name}: {failed}", file=sys.stderr)
+    print(f"wrote {path} (ok: {str(record['ok']).lower()})")
+    return 0 if record["ok"] else 1
+
+
+def add_cluster_args(parser, requests: int, epoch_ms: float,
+                     warmup_ms: float, accesses: int) -> None:
+    """The cluster configuration flags of the cluster benchmarks, with
+    the defaults that differ between them."""
+    from repro.cluster_scale import ROUTING_POLICY_NAMES
+    from repro.config import SystemKind
+
+    parser.add_argument("--servers", type=int, default=128)
+    parser.add_argument("--requests", type=int, default=requests,
+                        help="requests routed across the whole run")
+    parser.add_argument("--epochs", type=int, default=3)
+    parser.add_argument("--epoch-ms", type=float, default=epoch_ms)
+    parser.add_argument("--warmup-ms", type=float, default=warmup_ms)
+    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--routing", choices=sorted(ROUTING_POLICY_NAMES),
+                        default="p2c")
+    parser.add_argument("--system", default=SystemKind.HARDHARVEST_BLOCK.value,
+                        choices=[k.value for k in SystemKind])
+    parser.add_argument("--accesses", type=int, default=accesses)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--harvest-base", type=int, default=2,
+                        help="harvest-VM base cores (headroom for rebalancing)")
+    parser.add_argument("--harvest-max", type=int, default=4)
+
+
+def cluster_spec(args) -> dict:
+    """The ``cluster`` driver spec of :func:`add_cluster_args`' flags."""
+    return {
+        "workload": "cluster",
+        "system": args.system,
+        "harvest_base": args.harvest_base,
+        "sim": {
+            "seed": args.seed,
+            "accesses_per_segment": args.accesses,
+            "warmup_ms": args.warmup_ms,
+        },
+        "cluster": {
+            "servers": args.servers,
+            "requests": args.requests,
+            "epochs": args.epochs,
+            "epoch_ms": args.epoch_ms,
+            "warmup_ms": args.warmup_ms,
+            "routing": args.routing,
+            "harvest_max_cores": args.harvest_max,
+        },
+    }

@@ -7,8 +7,12 @@ reproduce the uninterrupted run's digest bit for bit — and records the
 evidence (digests, resume point, per-epoch goodput/time-to-recovery
 curve, wall clocks) under ``bench_results/BENCH_chaos_soak.json``.
 
-Exit status is 1 on any digest mismatch, so the nightly workflow fails
-loudly if recovery ever stops being bit-identical.
+The record's gates: the resumed digest equals the uninterrupted one,
+the resume replayed at least one checkpointed epoch, and the run
+reported a per-epoch resilience curve.  Its ``digest`` is the
+uninterrupted run's, so ``ci_checks.py digests-equal`` over records
+from several worker counts checks that they computed one result.  The
+script exits 1 when a gate fails.
 
 Usage::
 
@@ -19,15 +23,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import time
 
 from repro.cluster_scale import ROUTING_POLICY_NAMES, cluster_plan_names
 from repro.cluster_scale.chaos import run_chaos_soak
 from repro.config import SystemKind
+
+from _timing import gate, write_record
 
 
 def main(argv=None) -> int:
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
     def progress(message: str) -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {message}", flush=True)
 
-    record = run_chaos_soak(
+    outcome = run_chaos_soak(
         system_name=args.system,
         servers=args.servers,
         requests=args.requests,
@@ -69,26 +71,29 @@ def main(argv=None) -> int:
         kill_after_epochs=args.kill_after,
         progress=progress,
     )
-    record["benchmark"] = "chaos_soak"
-    record["cpus"] = os.cpu_count()
-    record["platform"] = platform.python_version()
-
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = args.out or os.path.join(out_dir, "BENCH_chaos_soak.json")
-    with open(out_path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(record, indent=2))
-
-    if not record["digests_equal"]:
-        print("ERROR: resumed digest differs from the uninterrupted run",
-              file=sys.stderr)
-        return 1
-    if not record["killed"]:
+    if not outcome["killed"]:
         print("note: the victim finished before the SIGKILL landed; the "
-              "resume still replayed its checkpoints bit-identically")
-    return 0
+              "resume still replayed its checkpoints")
+    curve = outcome["resilience_curve"]
+    return write_record(
+        "chaos_soak",
+        config=outcome["config"],
+        end_to_end=outcome["walls"],
+        digest=outcome["uninterrupted_digest"],
+        gates={
+            "digests_equal": gate(outcome["digests_equal"]),
+            "resumed_from_epoch": gate(outcome["resumed_from_epoch"], 1),
+            "resilience_epochs": gate(len(curve), 1),
+        },
+        detail={
+            "run_key": outcome["run_key"],
+            "resumed_digest": outcome["resumed_digest"],
+            "killed": outcome["killed"],
+            "checkpoints_on_disk": outcome["checkpoints_on_disk"],
+            "resilience_curve": curve,
+        },
+        out=args.out,
+    )
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ is the determinism fingerprint: any two hosts (or worker counts) running
 the same configuration must record the same value.
 
 An optional ``--cross-check`` pass re-runs a scaled-down copy of the
-configuration at ``--workers 1`` and at the benchmark worker count and
-fails if their digests differ, so the record carries its own evidence
-that the sharded merge is deterministic.
+configuration at ``--workers 1`` and at the benchmark worker count, and
+gates the record on their digests being equal, so the record carries its
+own evidence that the sharded merge is deterministic.
 
 Usage::
 
@@ -20,68 +20,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import time
 from dataclasses import replace
 
-import repro
-from repro.cluster_scale import (
-    ROUTING_POLICY_NAMES,
-    ClusterScaleConfig,
-    RoutingPolicy,
-    run_cluster_scale,
-)
-from repro.config import SimulationConfig, SystemKind
-from repro.core.presets import build_system
+from repro.cluster_scale import run_cluster_scale
 
-
-def _build(args) -> tuple:
-    system = build_system(SystemKind(args.system))
-    if args.harvest_base is not None:
-        system = replace(
-            system,
-            cluster=replace(
-                system.cluster, harvest_vm_base_cores=args.harvest_base
-            ),
-        )
-    sim = SimulationConfig(
-        seed=args.seed,
-        accesses_per_segment=args.accesses,
-        warmup_ms=args.warmup_ms,
-    )
-    cfg = ClusterScaleConfig(
-        servers=args.servers,
-        requests=args.requests,
-        epochs=args.epochs,
-        epoch_ms=args.epoch_ms,
-        warmup_ms=args.warmup_ms,
-        routing=RoutingPolicy(args.routing),
-        harvest_max_cores=args.harvest_max,
-    )
-    return system, sim, cfg
+from _driver import build_cluster
+from _timing import add_cluster_args, cluster_spec, gate, write_record
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--servers", type=int, default=128)
-    parser.add_argument("--requests", type=int, default=1_500_000,
-                        help="requests routed across the whole run")
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--epoch-ms", type=float, default=100.0)
-    parser.add_argument("--warmup-ms", type=float, default=10.0)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--routing", choices=sorted(ROUTING_POLICY_NAMES),
-                        default="p2c")
-    parser.add_argument("--system", default=SystemKind.HARDHARVEST_BLOCK.value,
-                        choices=[k.value for k in SystemKind])
-    parser.add_argument("--accesses", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--harvest-base", type=int, default=2,
-                        help="harvest-VM base cores (headroom for rebalancing)")
-    parser.add_argument("--harvest-max", type=int, default=4)
+    add_cluster_args(parser, requests=1_500_000, epoch_ms=100.0,
+                     warmup_ms=10.0, accesses=4)
     parser.add_argument("--cross-check", action="store_true",
                         help="also verify a scaled-down config is "
                              "bit-identical at workers=1 vs --workers")
@@ -90,7 +41,8 @@ def main(argv=None) -> int:
                              "bench_results/BENCH_cluster_scale.json)")
     args = parser.parse_args(argv)
 
-    system, sim, cfg = _build(args)
+    spec = cluster_spec(args)
+    system, sim, cfg = build_cluster(spec)
 
     def progress(message: str) -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {message}", flush=True)
@@ -100,66 +52,46 @@ def main(argv=None) -> int:
         system, sim, cfg, workers=args.workers, progress=progress
     )
     elapsed = time.perf_counter() - started
-    digest = result.digest()
     summary = result.summary_dict()
     progress(
         f"done: {summary['requests_arrived']} arrived / "
         f"{summary['requests_measured']} measured in {elapsed:.1f}s"
     )
 
-    record = {
-        "benchmark": "cluster_scale",
-        "version": repro.__version__,
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "system": system.name,
-        "servers": cfg.servers,
-        "epochs": cfg.epochs,
-        "epoch_ms": cfg.epoch_ms,
-        "routing": cfg.routing.value,
-        "seed": sim.seed,
-        "accesses_per_segment": sim.accesses_per_segment,
-        "workers": args.workers,
-        "requests_routed": args.requests,
+    gates, detail = {}, {
         "requests_arrived": summary["requests_arrived"],
         "requests_measured": summary["requests_measured"],
         "avg_p99_ms": round(summary["avg_p99_ms"], 4),
         "avg_busy_cores": round(summary["avg_busy_cores"], 3),
         "batch_units_per_s": round(summary["batch_units_per_s"], 1),
         "rebalance_moves": summary["rebalance_moves"],
-        "wall_s": round(elapsed, 1),
-        "requests_per_wall_s": round(summary["requests_arrived"] / elapsed, 1),
-        "digest": digest,
     }
-
     if args.cross_check:
         # Small enough to finish in seconds, sharded unevenly on purpose
         # (5 servers over N workers) so the check exercises the merge.
-        small = ClusterScaleConfig(
-            servers=5, requests=4000, epochs=2, epoch_ms=20.0, warmup_ms=4.0,
-            routing=cfg.routing, harvest_max_cores=cfg.harvest_max_cores,
-        )
-        d1 = run_cluster_scale(system, sim, small, workers=1).digest()
-        dn = run_cluster_scale(
-            system, sim, small, workers=max(2, args.workers)
-        ).digest()
-        record["cross_check"] = {"workers1": d1, "workersN": dn,
-                                 "identical": d1 == dn}
-        if d1 != dn:
-            print("ERROR: cross-check digests differ "
-                  f"({d1[:12]} vs {dn[:12]})", file=sys.stderr)
+        small = replace(cfg, servers=5, requests=4000, epochs=2,
+                        epoch_ms=20.0, warmup_ms=4.0)
+        cross = {
+            "workers1": run_cluster_scale(system, sim, small, workers=1).digest(),
+            "workersN": run_cluster_scale(
+                system, sim, small, workers=max(2, args.workers)
+            ).digest(),
+        }
+        gates["cross_check_identical"] = gate(len(set(cross.values())) == 1)
+        detail["cross_check"] = cross
 
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = args.out or os.path.join(out_dir, "BENCH_cluster_scale.json")
-    with open(out_path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(record, indent=2))
-
-    if args.cross_check and not record["cross_check"]["identical"]:
-        return 1
-    return 0
+    return write_record(
+        "cluster_scale",
+        config={**spec, "workers": args.workers},
+        end_to_end={
+            "wall_s": round(elapsed, 1),
+            "requests_per_wall_s": round(summary["requests_arrived"] / elapsed, 1),
+        },
+        digest=result.digest(),
+        gates=gates,
+        detail=detail,
+        out=args.out,
+    )
 
 
 if __name__ == "__main__":

@@ -1,52 +1,73 @@
-"""Memory-hierarchy speedup benchmark (single server, fig11 config).
+"""Hot-path speedup gates (single server, fig11 config).
 
-Runs the same simulation twice per round — once from the pinned baseline
-tree (``_timing.BASELINE_COMMIT``) with ``REPRO_MEM_SLOWPATH=1``, that
-commit's reference per-access implementation and a live replica of the
-pre-fast-path behavior, and once from the current tree's batched memory
-walk — and records best-of-N wall and CPU times plus their ratio under
-``bench_results/BENCH_hotpath.json``.
+Times the same simulation in four modes per interleaved round, each run
+its own ``benchmarks/_driver.py`` process:
 
-Both modes must produce the *same result digest* (bit-identity is the
-memory walk's contract, pinned independently by
-``tests/test_hotpath_parity.py``); the benchmark aborts if they diverge,
-so a speedup number can never come from a behavioral shortcut.
+* ``fast`` — the current tree;
+* ``mem_ref`` — the pinned baseline tree (``_timing.BASELINE_COMMIT``)
+  with ``REPRO_MEM_SLOWPATH=1``: that commit's reference per-access
+  memory walk (linear tag scans, scalar access/sampling loops);
+* ``mem_sched_ref`` — the baseline with ``REPRO_MEM_SLOWPATH=1`` and
+  ``REPRO_SCHED_SLOWPATH=1``: both reference implementations, a live
+  replica of the pre-fast-path behavior;
+* ``sched_ref`` — the baseline with ``REPRO_SCHED_SLOWPATH=1`` only (its
+  batched memory walk, the one-event-at-a-time engine loop and
+  object-walk queue scans).
 
-Methodology (see :mod:`benchmarks._timing`): interleaved rounds,
-best-of-N, CPU-time headline, digest guard, each run in its own
-``benchmarks/_driver.py`` process.  Scope note: the reference carries the
-per-access *algorithms* (linear tag scans, scalar access/sampling loops)
-over the baseline commit's data structures, which include hashed-index
-upkeep the original tree did not pay on fills, so the ratio tracks the
-cost of the reference access algorithms rather than the speedup over the
-original seed tree.
+``bench_results/BENCH_hotpath.json`` gates on every run of every mode
+having one result digest (bit-identity is the hot paths' contract, also
+pinned by ``tests/test_hotpath_parity.py``), on the memory speedup
+(``mem_ref`` over ``fast`` best CPU time) reaching ``--min-mem-speedup``
+and on the combined one (``mem_sched_ref`` over ``fast``) reaching
+``--min-combined-speedup``.
 
-Needs the baseline commit in the local clone (full history).
+Honest-numbers notes:
+
+* ``sched_ref`` over ``fast`` is recorded, not gated.  It is the
+  scheduler layer's marginal contribution over a batched memory walk,
+  small at this single-server config because once the walk is batched,
+  wall time is mostly cache-walk work, not event dispatch.  It runs the
+  baseline's memory walk, a few percent faster than the current one, so
+  it slightly understates the scheduler layer.
+* The references carry the per-access *algorithms* over the baseline
+  commit's data structures, which include hashed-index upkeep the
+  original tree did not pay on fills, so the ratios track the cost of
+  the reference algorithms rather than the speedup over the original
+  seed tree.
+
+Methodology: see :mod:`benchmarks._timing`.  Needs the baseline commit
+in the local clone (full history).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/hotpath_speedup.py [--rounds 3] \
-        [--horizon-ms 60] [--min-speedup 1.5]
+        [--horizon-ms 60]
 """
 
 from __future__ import annotations
 
 import argparse
-import platform
-
-import repro
 
 from _timing import (
-    BASELINE_COMMIT,
     HEAD_SRC,
     baseline_src,
     best_cpu,
     best_wall,
+    digest_gate,
     driver,
+    gate,
     interleaved_rounds,
-    require_same_digest,
     write_record,
 )
+
+#: Mode -> the baseline switches selecting its implementation (None: the
+#: current tree).  ``fast`` comes first: the record's digest is its.
+MODES = {
+    "fast": None,
+    "mem_ref": {"REPRO_MEM_SLOWPATH": "1"},
+    "mem_sched_ref": {"REPRO_MEM_SLOWPATH": "1", "REPRO_SCHED_SLOWPATH": "1"},
+    "sched_ref": {"REPRO_SCHED_SLOWPATH": "1"},
+}
 
 
 def main(argv=None) -> int:
@@ -56,9 +77,10 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon-ms", type=float, default=60.0)
     parser.add_argument("--warmup-ms", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero if the CPU-time speedup is below "
-                             "this (CI gate)")
+    parser.add_argument("--min-mem-speedup", type=float, default=1.5,
+                        help="floor of the memory CPU-time speedup")
+    parser.add_argument("--min-combined-speedup", type=float, default=1.6,
+                        help="floor of the memory+scheduler CPU-time speedup")
     parser.add_argument("--out", default=None,
                         help="output path (default bench_results/BENCH_hotpath.json)")
     args = parser.parse_args(argv)
@@ -72,58 +94,40 @@ def main(argv=None) -> int:
     with baseline_src() as base:
         samples = interleaved_rounds(
             [
-                ("reference", driver(base, spec, {"REPRO_MEM_SLOWPATH": "1"})),
-                ("fast", driver(HEAD_SRC, spec)),
+                (name, driver(base if env else HEAD_SRC, spec, env))
+                for name, env in MODES.items()
             ],
             args.rounds,
         )
 
-    try:
-        digest = require_same_digest(samples)
-    except RuntimeError as exc:
-        print(f"ERROR: {exc}")
-        return 1
-
-    ref_cpu = best_cpu(samples["reference"])
-    fast_cpu = best_cpu(samples["fast"])
-    ref_wall = best_wall(samples["reference"])
-    fast_wall = best_wall(samples["fast"])
-    speedup_cpu = ref_cpu / fast_cpu
-
-    record = {
-        "benchmark": "mem_hotpath_speedup",
-        "version": repro.__version__,
-        "python": platform.python_version(),
-        "config": {
-            "system": "hardharvest_block",
-            "seed": args.seed,
-            "horizon_ms": args.horizon_ms,
-            "warmup_ms": args.warmup_ms,
-        },
-        "rounds": args.rounds,
-        "baseline_commit": BASELINE_COMMIT,
-        "reference_cpu_s": round(ref_cpu, 3),
-        "fast_cpu_s": round(fast_cpu, 3),
-        "reference_wall_s": round(ref_wall, 3),
-        "fast_wall_s": round(fast_wall, 3),
-        "speedup_cpu": round(speedup_cpu, 3),
-        "speedup_wall": round(ref_wall / fast_wall, 3),
-        "digest": digest,
-        "baseline_note": (
-            "reference = baseline_commit run with REPRO_MEM_SLOWPATH=1 (linear "
-            "tag scans, scalar access/sampling loops over that commit's data "
-            "structures); fast = the current tree. Each run is its own "
-            "benchmarks/_driver.py process timing the run alone. For the "
-            "combined memory+scheduler ratio see BENCH_sched_hotpath.json."
-        ),
+    digest, digests_equal = digest_gate(samples)
+    cpu = {name: best_cpu(runs) for name, runs in samples.items()}
+    speedup = {
+        name: round(cpu[name] / cpu["fast"], 3) for name in MODES if name != "fast"
     }
-    write_record(record, "BENCH_hotpath.json", args.out)
-
-    if args.min_speedup is not None and speedup_cpu < args.min_speedup:
-        print(f"ERROR: CPU speedup {speedup_cpu:.3f} below required "
-              f"{args.min_speedup}")
-        return 1
-    return 0
+    return write_record(
+        "hotpath",
+        config={"system": "hardharvest_block", "seed": args.seed,
+                "horizon_ms": args.horizon_ms, "warmup_ms": args.warmup_ms,
+                "rounds": args.rounds},
+        end_to_end={
+            "cpu_s": {name: round(value, 3) for name, value in cpu.items()},
+            "wall_s": {
+                name: round(best_wall(runs), 3) for name, runs in samples.items()
+            },
+            "speedup_cpu": speedup,
+        },
+        digest=digest,
+        gates={
+            "digests_equal": digests_equal,
+            "mem_speedup_cpu": gate(speedup["mem_ref"], args.min_mem_speedup),
+            "combined_speedup_cpu": gate(
+                speedup["mem_sched_ref"], args.min_combined_speedup
+            ),
+        },
+        out=args.out,
+        baseline=True,
+    )
 
 
 if __name__ == "__main__":

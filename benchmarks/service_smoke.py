@@ -11,18 +11,19 @@ subprocess (the real CLI, the real socket, the real signal path), then:
    direct CLI path (``python -m repro sweep/cluster --stats-json``) run
    in a *separate* cache directory, so equality is a genuine cross-check
    rather than a cache echo;
-4. scrapes ``/metrics`` and saves the exposition text for
-   ``ci_checks.py metrics-text``;
+4. scrapes ``/metrics`` (``--metrics-out`` saves the exposition text
+   for ``ci_checks.py metrics-text``);
 5. lists the server's child processes (its service slots' pool
    workers, kept between jobs), SIGTERMs the server, requires a
    graceful exit 0, and requires every one of those children to be
    gone once it has exited.
 
 ``--soak`` (nightly) additionally submits a crash-storm fault-plan
-cluster job through the API plus a concurrent duplicate storm, and
-verifies the dedupe counters.  The machine-checkable record lands at
-``bench_results/BENCH_service_smoke.json`` (``ci_checks.py
-service-stats`` asserts on it).
+cluster job through the API from 8 concurrent clients, which must
+collapse onto one job id.  Each requirement is a gate of the record,
+``bench_results/BENCH_service_smoke.json`` (``BENCH_service_soak.json``
+with ``--soak``); its ``digest`` is the served sweep job's.  The script
+exits 1 when a gate fails.
 
 Usage::
 
@@ -37,7 +38,6 @@ import concurrent.futures
 import glob
 import json
 import os
-import platform
 import signal
 import socket
 import subprocess
@@ -47,6 +47,8 @@ import time
 
 import repro
 from repro.service.client import ServiceClient
+
+from _timing import gate, write_record
 
 SWEEP_SIM = {"horizon_ms": 40.0, "warmup_ms": 8.0, "accesses_per_segment": 6}
 CLUSTER_SIM = {"horizon_ms": 25.0, "warmup_ms": 5.0, "accesses_per_segment": 4}
@@ -58,19 +60,24 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _start_server(port: int, cache_dir: str, workers: int):
+def _env() -> dict:
+    """This process's environment with the tree under test on the path."""
     env = dict(os.environ)
     src_root = os.path.dirname(os.path.dirname(repro.__file__))
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def _start_server(port: int, cache_dir: str, workers: int):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--port", str(port), "--cache-dir", cache_dir,
             "--service-workers", str(workers), "--grace-s", "60",
         ],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
     )
     client = ServiceClient(port=port)
@@ -89,18 +96,13 @@ def _start_server(port: int, cache_dir: str, workers: int):
     raise RuntimeError("server did not become healthy within 60s")
 
 
-def _cli_stats(command: list, stats_path: str) -> dict:
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(repro.__file__))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+def _cli_digest(command: list, stats_path: str) -> str:
     subprocess.run(
         [sys.executable, "-m", "repro", *command, "--stats-json", stats_path],
-        env=env, check=True, stdout=subprocess.DEVNULL,
+        env=_env(), check=True, stdout=subprocess.DEVNULL,
     )
     with open(stats_path) as fh:
-        return json.load(fh)
+        return json.load(fh)["digest"]
 
 
 def _stat_fields(pid: str) -> list:
@@ -138,20 +140,15 @@ def _metric_value(metrics_text: str, name: str) -> float:
     raise KeyError(f"metric {name} not found")
 
 
-def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
-    record: dict = {
-        "bench": "service_smoke",
-        "version": repro.__version__,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "workers": workers,
-        "soak": soak,
-    }
+def run_smoke(workers: int, soak: bool, timeout_s: float):
+    """Drive the service once; returns ``(digest, gates, detail,
+    metrics_text)``."""
+    gates, detail = {}, {}
     with tempfile.TemporaryDirectory(prefix="repro_svc_") as tmp:
-        service_cache = os.path.join(tmp, "service_cache")
         cli_cache = os.path.join(tmp, "cli_cache")
-        port = _free_port()
-        proc, client = _start_server(port, service_cache, workers=2)
+        proc, client = _start_server(
+            _free_port(), os.path.join(tmp, "service_cache"), workers=2
+        )
         try:
             # --- sweep job + duplicate -------------------------------
             sweep_job = {
@@ -163,12 +160,11 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
             }
             first = client.submit(sweep_job)
             duplicate = client.submit(sweep_job)
-            record["sweep_job_id"] = first["job_id"]
-            record["dedupe_same_id"] = first["job_id"] == duplicate["job_id"]
-            record["dedupe_not_recreated"] = duplicate["created"] is False
+            gates["dedupe_same_id"] = gate(first["job_id"] == duplicate["job_id"])
+            gates["dedupe_not_recreated"] = gate(duplicate["created"] is False)
 
             # --- cluster job -----------------------------------------
-            cluster_job = {
+            cluster = client.submit({
                 "kind": "cluster",
                 "system": "HardHarvest-Block",
                 "workers": workers,
@@ -178,48 +174,44 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
                 },
                 "harvest_base": 2,
                 "simulation": CLUSTER_SIM,
-            }
-            cluster = client.submit(cluster_job)
-            record["cluster_job_id"] = cluster["job_id"]
-
+            })
+            detail["job_ids"] = {"sweep": first["job_id"],
+                                 "cluster": cluster["job_id"]}
             client.wait(first["job_id"], timeout_s=timeout_s)
             client.wait(cluster["job_id"], timeout_s=timeout_s)
-            sweep_result = client.result(first["job_id"])
-            cluster_result = client.result(cluster["job_id"])
 
             # --- CLI cross-check (separate cache dir) ----------------
-            cli_sweep = _cli_stats(
-                [
-                    "sweep", "--systems", "NoHarvest,HardHarvest-Block",
-                    "--seeds", "0..1",
-                    "--horizon-ms", str(SWEEP_SIM["horizon_ms"]),
-                    "--accesses", str(SWEEP_SIM["accesses_per_segment"]),
-                    "--cache-dir", cli_cache,
-                ],
-                os.path.join(tmp, "cli_sweep.json"),
-            )
-            cli_cluster = _cli_stats(
-                [
-                    "cluster", "--system", "HardHarvest-Block",
-                    "--servers", "4", "--requests", "6000",
-                    "--epochs", "2", "--routing", "p2c",
-                    "--harvest-base", "2",
-                    "--horizon-ms", str(CLUSTER_SIM["horizon_ms"]),
-                    "--accesses", str(CLUSTER_SIM["accesses_per_segment"]),
-                    "--workers", "1", "--cache-dir", cli_cache,
-                ],
-                os.path.join(tmp, "cli_cluster.json"),
-            )
-            record["sweep_digest_service"] = sweep_result["digest"]
-            record["sweep_digest_cli"] = cli_sweep["digest"]
-            record["sweep_digests_equal"] = (
-                sweep_result["digest"] == cli_sweep["digest"]
-            )
-            record["cluster_digest_service"] = cluster_result["digest"]
-            record["cluster_digest_cli"] = cli_cluster["digest"]
-            record["cluster_digests_equal"] = (
-                cluster_result["digest"] == cli_cluster["digest"]
-            )
+            detail["digests"] = {
+                "sweep_service": client.result(first["job_id"])["digest"],
+                "sweep_cli": _cli_digest(
+                    [
+                        "sweep", "--systems", "NoHarvest,HardHarvest-Block",
+                        "--seeds", "0..1",
+                        "--horizon-ms", str(SWEEP_SIM["horizon_ms"]),
+                        "--accesses", str(SWEEP_SIM["accesses_per_segment"]),
+                        "--cache-dir", cli_cache,
+                    ],
+                    os.path.join(tmp, "cli_sweep.json"),
+                ),
+                "cluster_service": client.result(cluster["job_id"])["digest"],
+                "cluster_cli": _cli_digest(
+                    [
+                        "cluster", "--system", "HardHarvest-Block",
+                        "--servers", "4", "--requests", "6000",
+                        "--epochs", "2", "--routing", "p2c",
+                        "--harvest-base", "2",
+                        "--horizon-ms", str(CLUSTER_SIM["horizon_ms"]),
+                        "--accesses", str(CLUSTER_SIM["accesses_per_segment"]),
+                        "--workers", "1", "--cache-dir", cli_cache,
+                    ],
+                    os.path.join(tmp, "cli_cluster.json"),
+                ),
+            }
+            digests = detail["digests"]
+            for kind in ("sweep", "cluster"):
+                gates[f"{kind}_digests_equal"] = gate(
+                    digests[f"{kind}_service"] == digests[f"{kind}_cli"]
+                )
 
             # --- soak: fault plan through the API + dup storm --------
             if soak:
@@ -241,49 +233,39 @@ def run_smoke(workers: int, soak: bool, timeout_s: float) -> dict:
                             lambda _: client.submit(storm_job), range(8)
                         )
                     }
-                record["storm_unique_ids"] = len(ids)
+                gates["storm_deduped"] = gate(len(ids) == 1)
                 storm_id = next(iter(ids))
                 client.wait(storm_id, timeout_s=timeout_s)
                 storm = client.result(storm_id)
-                record["storm_digest"] = storm["digest"]
-                record["storm_resilience_epochs"] = len(
-                    storm["resilience_curve"]
-                )
+                digests["storm_service"] = storm["digest"]
+                detail["storm_resilience_epochs"] = len(storm["resilience_curve"])
 
             # --- metrics ---------------------------------------------
             metrics_text = client.metrics()
-            record["metrics_text"] = metrics_text
-            record["metrics_deduped"] = _metric_value(
+            detail["metrics_deduped"] = _metric_value(
                 metrics_text, "repro_service_deduped_total"
             )
-            record["metrics_completed"] = _metric_value(
+            detail["metrics_completed"] = _metric_value(
                 metrics_text, "repro_service_jobs_completed_total"
             )
 
             # --- graceful SIGTERM, leaving no worker behind ----------
             children = _children(proc.pid)
-            record["server_children"] = len(children)
             proc.send_signal(signal.SIGTERM)
-            record["server_exit"] = proc.wait(timeout=90)
-            record["children_alive_after_exit"] = sum(
+            detail["server_exit"] = proc.wait(timeout=90)
+            detail["children_alive_after_exit"] = sum(
                 1 for pid in children if _alive(pid)
             )
-            record["server_log_tail"] = proc.stdout.read()[-2000:]
+            detail["server_log_tail"] = proc.stdout.read()[-2000:]
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-    record["ok"] = bool(
-        record.get("dedupe_same_id")
-        and record.get("dedupe_not_recreated")
-        and record.get("sweep_digests_equal")
-        and record.get("cluster_digests_equal")
-        and record.get("server_exit") == 0
-        and record.get("server_children", 0) >= 1
-        and record.get("children_alive_after_exit") == 0
-        and (not soak or record.get("storm_unique_ids") == 1)
-    )
-    return record
+    gates["server_exited_0"] = gate(detail["server_exit"] == 0)
+    # No child seen means the slot pools went unchecked.
+    gates["server_children"] = gate(len(children), 1)
+    gates["no_child_left"] = gate(detail["children_alive_after_exit"] == 0)
+    return digests["sweep_service"], gates, detail, metrics_text
 
 
 def main(argv=None) -> int:
@@ -297,43 +279,33 @@ def main(argv=None) -> int:
                         help="per-job completion timeout (default 900)")
     parser.add_argument("--out", default=None,
                         help="record path (default bench_results/"
-                             "BENCH_service_smoke.json)")
+                             "BENCH_service_smoke.json, or "
+                             "BENCH_service_soak.json with --soak)")
     parser.add_argument("--metrics-out", default=None,
                         help="also write the scraped /metrics text here")
     args = parser.parse_args(argv)
 
     started = time.monotonic()
-    record = run_smoke(args.workers, args.soak, args.timeout_s)
-    record["wall_s"] = round(time.monotonic() - started, 3)
-
-    metrics_text = record.pop("metrics_text", "")
+    digest, gates, detail, metrics_text = run_smoke(
+        args.workers, args.soak, args.timeout_s
+    )
+    wall_s = round(time.monotonic() - started, 3)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
             fh.write(metrics_text)
         print(f"wrote metrics exposition to {args.metrics_out}")
-
-    out = args.out or os.path.join(
-        "bench_results",
-        "BENCH_service_smoke.json" if not args.soak
-        else "BENCH_service_soak.json",
+    return write_record(
+        "service_soak" if args.soak else "service_smoke",
+        config={"workers": args.workers, "soak": args.soak,
+                "sweep_simulation": SWEEP_SIM,
+                "cluster_simulation": CLUSTER_SIM},
+        end_to_end={"wall_s": wall_s},
+        digest=digest,
+        gates=gates,
+        detail=detail,
+        out=args.out,
     )
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(record, fh, indent=2)
-    print(f"wrote {out}")
-    print(f"sweep digests equal:   {record['sweep_digests_equal']}")
-    print(f"cluster digests equal: {record['cluster_digests_equal']}")
-    print(f"dedupe: same id {record['dedupe_same_id']}, "
-          f"metrics deduped {record['metrics_deduped']}")
-    print(f"server exit: {record['server_exit']}, "
-          f"{record['children_alive_after_exit']} of its "
-          f"{record['server_children']} child process(es) left")
-    if not record["ok"]:
-        print("service smoke FAILED", file=sys.stderr)
-        return 1
-    print("service smoke PASS")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

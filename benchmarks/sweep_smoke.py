@@ -3,9 +3,13 @@
 Runs a small (systems x seeds) grid three ways — ``workers=1`` cold,
 ``workers=2`` cold, then ``workers=2`` against the now-warm cache — and
 records the wall-clocks plus the cache hit rate under ``bench_results/``
-as ``BENCH_sweep_runner.json``.  CI invokes this on every push so the
-perf trajectory of the parallel substrate accumulates alongside the
-figure CSVs.
+as ``BENCH_sweep_runner.json``.  The record's gates: the three runs
+share one ``sweep_results_digest``, the warm run served every point from
+the cache, and it beat the cold serial run.  CI invokes this on every
+push, and the script exits 1 when a gate fails.
+
+``parallel_speedup`` > 1 needs real cores: on a single-CPU host two
+workers time-slice one core and the pool overhead is pure loss.
 
 Usage::
 
@@ -15,18 +19,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import shutil
-import sys
 import tempfile
 import time
 
-import repro
 from repro.config import SimulationConfig
+from repro.core.export import sweep_results_digest
 from repro.core.presets import all_systems
 from repro.parallel import ResultCache, SweepSpec, run_sweep
+
+from _timing import gate, write_record
 
 
 def timed_sweep(spec, workers, cache=None):
@@ -65,39 +67,29 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    record = {
-        "benchmark": "sweep_runner_scaling",
-        "version": repro.__version__,
-        "python": platform.python_version(),
-        # parallel_speedup > 1 needs real cores: on a single-CPU host two
-        # workers time-slice one core and the pool overhead is pure loss.
-        "cpus": os.cpu_count(),
-        "points": spec.size(),
-        "horizon_ms": args.horizon_ms,
-        "workers1_cold_s": round(serial_s, 3),
-        "workers2_cold_s": round(parallel_s, 3),
-        "workers2_cached_s": round(cached_s, 3),
-        "parallel_speedup": round(serial_s / parallel_s, 3),
-        "cache_speedup": round(serial_s / cached_s, 3),
-        "cache_hit_rate": warm_cache.stats.hit_rate(),
-    }
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = args.out or os.path.join(out_dir, "BENCH_sweep_runner.json")
-    with open(out_path, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(record, indent=2))
-
-    if cached.from_cache != spec.size():
-        print("ERROR: warm run was not fully served from cache", file=sys.stderr)
-        return 1
-    if cached_s >= serial_s:
-        # Cached must beat cold serial by a wide margin; this is the smoke
-        # assertion that the cache actually short-circuits simulation.
-        print("ERROR: cached sweep not faster than cold serial run", file=sys.stderr)
-        return 1
-    return 0
+    digests = {sweep_results_digest(outcome.results)
+               for outcome in (serial, parallel, cached)}
+    return write_record(
+        "sweep_runner",
+        config={"horizon_ms": args.horizon_ms, "accesses": args.accesses,
+                "seeds": args.seeds, "points": spec.size()},
+        end_to_end={
+            "workers1_cold_s": round(serial_s, 3),
+            "workers2_cold_s": round(parallel_s, 3),
+            "workers2_cached_s": round(cached_s, 3),
+            "parallel_speedup": round(serial_s / parallel_s, 3),
+            "cache_speedup": round(serial_s / cached_s, 3),
+        },
+        digest=sweep_results_digest(serial.results),
+        gates={
+            "digests_equal": gate(len(digests) == 1),
+            "warm_points_cached": gate(cached.from_cache, spec.size()),
+            # The cache must actually short-circuit simulation.
+            "cached_beats_cold_serial": gate(cached_s < serial_s),
+        },
+        detail={"cache_hit_rate": warm_cache.stats.hit_rate()},
+        out=args.out,
+    )
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ ways —
 records the wall-clocks and their ratios to ``telemetry=None`` under
 ``bench_results/BENCH_telemetry_overhead.json``.
 
-Nothing here gates.  Both disabled spellings build the same server,
-whose hooks all call the empty function, so their ratio times one code
-path against itself and measures only host noise.
-``test_disabled_config_allocates_nothing`` in ``tests/test_telemetry.py``
-checks that property directly.
+Its one gate is that every run's ``sweep_results_digest`` is the same:
+telemetry never changes results.  No timing is gated.  Both disabled
+spellings build the same server, whose hooks all call the empty
+function, so their ratio times one code path against itself and
+measures only host noise.  ``test_disabled_config_allocates_nothing`` in
+``tests/test_telemetry.py`` checks that property directly.
 
 Usage::
 
@@ -30,14 +31,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import platform
 from dataclasses import replace
 
-import repro
 from repro.config import SimulationConfig, TelemetryConfig
 from repro.core import hardharvest_block, run_server
+from repro.core.export import sweep_results_digest
 
-from _timing import best_wall, interleaved_rounds, timed, write_record
+from _timing import best_wall, digest_gate, interleaved_rounds, timed, write_record
 
 
 def main(argv=None) -> int:
@@ -69,24 +69,27 @@ def main(argv=None) -> int:
         ],
         args.repeats,
     )
-    none_s = best_wall(samples["none"])
-    off_s = best_wall(samples["off"])
-    on_s = best_wall(samples["on"])
-
-    record = {
-        "benchmark": "telemetry_overhead",
-        "version": repro.__version__,
-        "python": platform.python_version(),
-        "horizon_ms": args.horizon_ms,
-        "repeats": args.repeats,
-        "telemetry_none_s": round(none_s, 4),
-        "telemetry_off_s": round(off_s, 4),
-        "telemetry_on_s": round(on_s, 4),
-        "disabled_ratio": round(off_s / none_s, 4),
-        "enabled_ratio": round(on_s / none_s, 4),
-    }
-    write_record(record, "BENCH_telemetry_overhead.json", args.out)
-    return 0
+    # Each run's result becomes its digest after the timing.
+    for runs in samples.values():
+        for s in runs:
+            s.value = sweep_results_digest({"run": s.value})
+    digest, digests_equal = digest_gate(samples)
+    wall = {name: best_wall(runs) for name, runs in samples.items()}
+    return write_record(
+        "telemetry_overhead",
+        config={"horizon_ms": args.horizon_ms, "accesses": args.accesses,
+                "repeats": args.repeats},
+        end_to_end={
+            "telemetry_none_s": round(wall["none"], 4),
+            "telemetry_off_s": round(wall["off"], 4),
+            "telemetry_on_s": round(wall["on"], 4),
+            "disabled_ratio": round(wall["off"] / wall["none"], 4),
+            "enabled_ratio": round(wall["on"] / wall["none"], 4),
+        },
+        digest=digest,
+        gates={"digests_equal": digests_equal},
+        out=args.out,
+    )
 
 
 if __name__ == "__main__":

@@ -73,7 +73,10 @@ from repro.faults import (
 # 1.6.0: a server with no Primary arrivals ends at its horizon instead of
 # running its batch job to the safety cap, and cluster points no longer
 # carry the cluster size; the bump keeps 1.5.0 entries from being served.
-__version__ = "1.6.0"
+# 1.7.0: SimulationConfig lost ``servers_to_simulate`` (no simulator code
+# read it), which moves every payload, and the result cache no longer
+# reads legacy v1 entries.
+__version__ = "1.7.0"
 
 from repro.parallel import (  # noqa: E402 - needs __version__ for cache keys
     ResultCache,

@@ -37,8 +37,9 @@ Commands
 ``sweep`` and ``cluster`` turn their flags into a job body and parse it
 with the service's validator (:mod:`repro.service.spec`), so a command and
 the equivalent ``POST /jobs`` body give the same configs, job id and
-digest.  Every other command checks its simulation flags with the same
-validator, so a bad value exits 2 naming the field before any point runs.
+digest.  Every other command builds its simulation from the same
+``simulation`` object of a job body, so a bad value exits 2 naming the
+field before any point runs.
 
 Examples::
 
@@ -74,17 +75,21 @@ from repro.workloads.microservices import SERVICE_NAMES
 SYSTEM_NAMES = [kind.value for kind in SystemKind]
 
 
-def _sim_config(args: argparse.Namespace) -> SimulationConfig:
-    from repro.service.spec import validate_simulation
+def _simulation_body(args: argparse.Namespace) -> dict:
+    """The job body's ``simulation`` object for the common flags."""
+    return {
+        "horizon_ms": args.horizon_ms,
+        "seed": args.seed,
+        "accesses_per_segment": args.accesses,
+    }
 
-    sim = SimulationConfig(
-        horizon_ms=args.horizon_ms,
-        warmup_ms=min(args.horizon_ms / 5, 100.0),
-        seed=args.seed,
-        accesses_per_segment=args.accesses,
-    )
-    validate_simulation(sim)
-    return sim
+
+def _sim_config(args: argparse.Namespace) -> SimulationConfig:
+    """The simulation a job body with these flags runs, built and checked
+    by the job spec's :func:`~repro.service.spec.build_simulation`."""
+    from repro.service.spec import build_simulation
+
+    return build_simulation(_simulation_body(args))
 
 
 def _print_result(name: str, res) -> None:
@@ -102,7 +107,8 @@ def _print_result(name: str, res) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.serialize import dumps, loads
+    from repro.core.serialize import dumps, loads, to_dict
+    from repro.service.spec import build_simulation
 
     simcfg = _sim_config(args)
     if args.config:
@@ -118,15 +124,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"config: {exc}", file=sys.stderr)
             return 2
         if loaded_sim is not None:
-            from repro.service.spec import JobValidationError, validate_simulation
-
-            try:
-                validate_simulation(loaded_sim)
-            except JobValidationError as exc:
-                print(f"--config {args.config!r}: invalid field "
-                      f"{exc.field!r}: {exc}", file=sys.stderr)
-                return 2
-            simcfg = loaded_sim
+            simcfg = build_simulation(to_dict(loaded_sim))
         name = system.name
     else:
         system = build_system(SystemKind(args.system))
@@ -192,11 +190,7 @@ def _parse_job(args: argparse.Namespace, body: dict):
     """
     from repro.service.spec import parse_job_request
 
-    body["simulation"] = {
-        "horizon_ms": args.horizon_ms,
-        "seed": args.seed,
-        "accesses_per_segment": args.accesses,
-    }
+    body["simulation"] = _simulation_body(args)
     return replace(parse_job_request(body), workers=args.workers)
 
 
@@ -797,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="checkpointed epochs required before SIGKILL "
                            "(default 1)")
     p_ch.add_argument("--out", default=None,
-                      help="write the chaos benchmark record JSON here")
+                      help="write the soak's outcome JSON here")
     common(p_ch)
     p_ch.set_defaults(func=cmd_chaos, horizon_ms=25.0, accesses=2)
 

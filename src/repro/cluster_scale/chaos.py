@@ -14,7 +14,7 @@ The harness behind ``python -m repro chaos`` and
 
 The two digests being equal at any worker count is the resilience layer's
 end-to-end acceptance criterion; CI's ``chaos-smoke`` job gates on the
-record this module emits.
+benchmark record ``benchmarks/chaos_soak.py`` writes from this outcome.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def run_chaos_soak(
     kill_timeout_s: float = 900.0,
     progress=None,
 ) -> Dict:
-    """One full SIGKILL-and-resume soak; returns the benchmark record.
+    """One full SIGKILL-and-resume soak; returns its outcome.
 
     ``kill_after_epochs`` is how many epoch checkpoints must exist before
     the subprocess is killed.  On a fast machine the subprocess can
@@ -248,9 +248,6 @@ def _run_soak(
         for entry in resumed.resilience_curve()
     ]
     return {
-        "bench": "chaos_soak",
-        "version": repro.__version__,
-        "python": sys.version.split()[0],
         "config": {
             "system": system_name,
             "servers": servers,

@@ -82,8 +82,8 @@ def _epoch_points(
 
     Server ``i`` runs batch job ``BATCH_JOBS[i % 8]`` with
     ``server_index=i``, the paper's one-batch-application-per-server
-    cluster.  A point is one server whatever the cluster's size, so it
-    carries ``servers_to_simulate=1`` and its cache key holds no size.
+    cluster.  A point is one server whatever the cluster's size, so its
+    cache key holds no size.
 
     Fault plans materialize here: the plan's events for (epoch, server)
     become that point's ``SimulationConfig.faults`` and the plan's client
@@ -99,7 +99,6 @@ def _epoch_points(
         horizon_ms=cfg.epoch_ms,
         warmup_ms=cfg.warmup_ms,
         seed=derive_epoch_seed(sim.seed, epoch),
-        servers_to_simulate=1,
     )
     if plan is not None and plan.client is not None:
         epoch_sim = replace(epoch_sim, client=plan.client)

@@ -452,8 +452,6 @@ class SimulationConfig:
     accesses_per_segment: int = 40
     #: Load multiplier over each service's nominal rate (1.0 = paper rates).
     load_scale: float = 1.0
-    #: How many of the cluster's servers to actually simulate.
-    servers_to_simulate: int = 1
     #: Record per-core L2 access traces for offline Belady replay (Fig. 14).
     record_l2_trace: bool = False
     #: Cap on recorded trace length per core.

@@ -15,8 +15,7 @@ figure benchmarks' multi-system fixtures.
   and collection keyed by point.
 * :class:`ResultCache` — content-addressed on-disk cache under
   ``.repro_cache/`` keyed by config hash + package version, with
-  zlib-compressed v2 entries (legacy v1 entries are read, never
-  written) and batch ``get_many``/``put_many``.
+  zlib-compressed v2 entries and batch ``get_many``/``put_many``.
 """
 
 from repro.parallel.cache import (

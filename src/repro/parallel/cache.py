@@ -16,18 +16,15 @@ Cache-key contract (also documented in ``docs/api.md``):
   (e.g. :meth:`SweepPoint.payload_json`, the split-key fast path) and is
   exactly equivalent to :meth:`ResultCache.key` on the parsed dict.
 
-Storage formats — both live under ``<root>/<key[:2]>/<key>.json``:
-
-* **v2** (written): a ``repz2\\n`` magic marker followed by a
-  zlib-compressed body laid out as ``version\\npayload_json\\nresult_json``.
-  Compression shrinks the multi-KB config+result JSON ~5-10x on disk, and
-  the line layout means :meth:`ResultCache.get` checks the version and
-  parses *only* the result line — the payload tree (usually the larger
-  half of the entry) is never re-parsed on a warm hit.
-* **v1** (legacy, read only): plain JSON text
-  ``{"version", "payload", "result"}``.  Readers handle v1 entries
-  transparently, so a directory written by an older release keeps
-  hitting after an upgrade.
+Storage format: an entry lives at ``<root>/<key[:2]>/<key>.json`` and
+is a ``repz2\\n`` magic marker followed by a zlib-compressed body laid
+out as ``version\\npayload_json\\nresult_json`` (format v2).  Compression
+shrinks the multi-KB config+result JSON ~5-10x on disk, and the line
+layout means :meth:`ResultCache.get` checks the version and parses *only*
+the result line — the payload tree (usually the larger half of the entry)
+is never re-parsed on a warm hit.  Legacy v1 entries (plain JSON, last
+written by release 1.5.0) are never read: their version salts keys this
+release never asks for, and a walk counts them as stale and prunes them.
 
 Every lookup reads the disk entry.  Writes go through
 :func:`repro.core.ioutil.write_bytes`, so a crash, a full disk or two
@@ -133,24 +130,6 @@ def _v2_decompress(data: bytes) -> bytes:
     return out
 
 
-def _decode_v1(blob: bytes) -> Dict[str, Any]:
-    """A legacy v1 entry: a JSON object with a string ``version`` and an
-    object ``result``.
-
-    Well-formed JSON of any other shape (``null``, a number, a string, a
-    non-object result) raises :class:`ValueError`, so every reader treats
-    it like any other corrupt entry.
-    """
-    entry = json.loads(blob.decode("utf-8"))
-    if not (
-        isinstance(entry, dict)
-        and isinstance(entry.get("version"), str)
-        and isinstance(entry.get("result"), dict)
-    ):
-        raise ValueError("malformed v1 cache entry")
-    return entry
-
-
 @dataclass
 class CacheStats:
     """Counters for one :class:`ResultCache` instance's lifetime."""
@@ -213,11 +192,11 @@ class ResultCache:
         payload_json = (
             payload if isinstance(payload, str) else canonical_json(payload)
         )
-        # The result line preserves dict insertion order (no sort_keys),
-        # exactly as v1's json.dumps did: downstream float reductions
-        # (e.g. the cluster merge averaging p99 maps) iterate result
-        # dicts, and reordering keys would perturb summation order — a
-        # last-ulp digest change between warm and cold runs.
+        # The result line preserves dict insertion order (no sort_keys):
+        # downstream float reductions (e.g. the cluster merge averaging
+        # p99 maps) iterate result dicts, and reordering keys would
+        # perturb summation order — a last-ulp digest change between
+        # warm and cold runs.
         result_json = json.dumps(
             result, separators=(",", ":"), allow_nan=True
         )
@@ -226,24 +205,25 @@ class ResultCache:
 
     @staticmethod
     def _decode(blob: bytes, payload: bool = False) -> Dict[str, Any]:
-        """``{version, payload, result}`` of an entry blob, either format;
-        a v2 entry's payload is parsed only when ``payload`` is true (else
-        None), so a warm :meth:`get` never parses it."""
-        if blob.startswith(V2_MAGIC):
-            body = _v2_decompress(blob[len(V2_MAGIC):]).decode("utf-8")
-            version, sep, rest = body.partition("\n")
-            payload_json, sep2, result_json = rest.partition("\n")
-            if not sep or not sep2:
-                raise ValueError("truncated v2 cache entry")
-            return {
-                "version": version,
-                "payload": json.loads(payload_json) if payload else None,
-                "result": json.loads(result_json),
-            }
-        return _decode_v1(blob)
+        """``{version, payload, result}`` of an entry blob; the payload is
+        parsed only when ``payload`` is true (else None), so a warm
+        :meth:`get` never parses it.  A blob that is not a v2 entry raises
+        :class:`ValueError`, as a corrupt one does."""
+        if not blob.startswith(V2_MAGIC):
+            raise ValueError("not a v2 cache entry")
+        body = _v2_decompress(blob[len(V2_MAGIC):]).decode("utf-8")
+        version, sep, rest = body.partition("\n")
+        payload_json, sep2, result_json = rest.partition("\n")
+        if not sep or not sep2:
+            raise ValueError("truncated v2 cache entry")
+        return {
+            "version": version,
+            "payload": json.loads(payload_json) if payload else None,
+            "result": json.loads(result_json),
+        }
 
     def read_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The full stored entry (version/payload/result), either format.
+        """The full stored entry (version/payload/result).
 
         Audit/tooling path — :meth:`get` is the hot path and deliberately
         skips the payload parse this performs.  Returns None if absent.
@@ -259,9 +239,9 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result dict for ``key``, or None on miss.
 
-        The disk entry may be in either format.  A corrupted or
-        version-mismatched entry counts as a miss (plus an invalidation)
-        and is deleted so the recompute can overwrite it.
+        A corrupted, legacy or version-mismatched entry counts as a miss
+        (plus an invalidation) and is deleted so the recompute can
+        overwrite it.
         """
         path = self._path(key)
         try:

@@ -171,11 +171,6 @@ def validate_simulation(sim: SimulationConfig) -> None:
         raise JobValidationError(
             "load_scale", f"load_scale must be positive, got {sim.load_scale}"
         )
-    if sim.servers_to_simulate <= 0:
-        raise JobValidationError(
-            "servers_to_simulate",
-            f"servers_to_simulate must be positive, got {sim.servers_to_simulate}",
-        )
     if sim.requests_per_service is not None and sim.requests_per_service <= 0:
         raise JobValidationError(
             "requests_per_service",
@@ -192,8 +187,7 @@ def validate_simulation(sim: SimulationConfig) -> None:
         )
 
 
-def build_simulation(data: Optional[Dict[str, Any]],
-                     servers: int = 1) -> SimulationConfig:
+def build_simulation(data: Optional[Dict[str, Any]]) -> SimulationConfig:
     """Build a :class:`SimulationConfig` from a job body's object.
 
     Accepts either the full serialized form (``{"__type__":
@@ -254,7 +248,6 @@ def build_simulation(data: Optional[Dict[str, Any]],
         if "warmup_ms" not in fields:
             horizon = fields.get("horizon_ms", SimulationConfig().horizon_ms)
             fields["warmup_ms"] = min(horizon / 5, 100.0)
-        fields.setdefault("servers_to_simulate", servers)
         sim = SimulationConfig(**fields)
     validate_simulation(sim)
     return sim
@@ -477,7 +470,7 @@ def _parse_cluster(body: Dict[str, Any], workers: int) -> JobRequest:
     servers = fields.get("servers", ClusterScaleConfig().servers)
     if servers <= 0:
         raise JobValidationError("servers", f"servers must be positive, got {servers}")
-    sim = build_simulation(body.get("simulation"), servers=servers)
+    sim = build_simulation(body.get("simulation"))
     fields.setdefault("epoch_ms", sim.horizon_ms)
     fields.setdefault("warmup_ms", sim.warmup_ms)
 

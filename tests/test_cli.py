@@ -211,6 +211,26 @@ def test_parser_defaults():
     assert args.horizon_ms == 300.0
 
 
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--horizon-ms", "40", "--seed", "3", "--accesses", "6"],
+    ["--horizon-ms", "900", "--seed", "0", "--accesses", "1"],
+])
+def test_run_config_equals_a_sweep_jobs_config(flags):
+    """``repro run`` builds the simulation a sweep job body with the same
+    flags parses to: one warmup rule, one validator."""
+    from repro.__main__ import _parse_job, _sim_config
+
+    run_args = build_parser().parse_args(["run", *flags])
+    sweep_args = build_parser().parse_args(
+        ["sweep", "--systems", "NoHarvest", "--seeds", "0", *flags]
+    )
+    request = _parse_job(sweep_args, {
+        "kind": "sweep", "systems": "NoHarvest", "seeds": "0",
+    })
+    assert _sim_config(run_args) == request.sim
+
+
 def test_run_config_invalid_field_named(capsys, tmp_path):
     """A --config file with a bad field value exits 2 naming the field."""
     import json
@@ -262,6 +282,8 @@ def test_sweep_stats_json_carries_digest(capsys, tmp_path):
 def test_cache_command_stats_and_prune(capsys, tmp_path):
     import json
 
+    from repro.parallel import ResultCache
+
     cache_dir = tmp_path / "cache"
     # Populate the cache with one real entry.
     rc = main(["sweep", "--systems", "NoHarvest", "--seeds", "0",
@@ -270,12 +292,8 @@ def test_cache_command_stats_and_prune(capsys, tmp_path):
     assert rc == 0
     capsys.readouterr()
 
-    # Plant a stale entry (wrong version) by hand.
-    stale_dir = cache_dir / "ff"
-    stale_dir.mkdir(parents=True, exist_ok=True)
-    (stale_dir / ("f" * 64 + ".json")).write_text(
-        json.dumps({"version": "0.0.1", "payload": {}, "result": {}})
-    )
+    # Plant a stale entry, written under another version.
+    ResultCache(root=str(cache_dir), version="0.0.1").put("f" * 64, {}, {})
 
     stats_path = tmp_path / "cache_stats.json"
     rc = main(["cache", "--cache-dir", str(cache_dir),

@@ -8,7 +8,6 @@ from repro.core.presets import hardharvest_block, noharvest
 
 FAST = SimulationConfig(
     horizon_ms=60, warmup_ms=10, accesses_per_segment=8, seed=17,
-    servers_to_simulate=3,
 )
 THREE = ClusterScaleConfig(servers=3, epochs=1, epoch_ms=60, warmup_ms=10)
 

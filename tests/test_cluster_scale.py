@@ -8,7 +8,6 @@ paper's independent servers, ``run_server`` by ``run_server``, exactly.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +91,6 @@ def test_degenerate_matches_legacy_run_cluster(tmp_path):
     # server_index=i) for each server i.
     sim = SimulationConfig(
         horizon_ms=12.0, warmup_ms=3.0, accesses_per_segment=2, seed=5,
-        servers_to_simulate=3,
     )
     system = noharvest()
     cache = ResultCache(root=str(tmp_path))
@@ -110,17 +108,14 @@ def test_degenerate_matches_legacy_run_cluster(tmp_path):
         theirs = run_server(system, sim, job, server_index=i)
         assert server_result_to_dict(ours) == server_result_to_dict(theirs)
         # A server point is keyed without the cluster's size.
-        point = SweepPoint(label=f"server={i}",
-                           system=system,
-                           sim=replace(sim, servers_to_simulate=1),
+        point = SweepPoint(label=f"server={i}", system=system, sim=sim,
                            batch_job=job, server_index=i)
         assert cache.get(cache.key(point.payload())) is not None
 
 
 def test_a_server_point_is_keyed_without_the_cluster_size(tmp_path):
-    # The job spec sets servers_to_simulate to the cluster size; the
-    # points must not carry it, so servers 0 and 1 of a 4-server run hit
-    # the entries a 2-server run stored.
+    # Servers 0 and 1 of a 4-server run hit the entries a 2-server run
+    # stored: no point carries the cluster's size.
     from repro.service.spec import parse_job_request
 
     cache = ResultCache(root=str(tmp_path))
@@ -130,7 +125,6 @@ def test_a_server_point_is_keyed_without_the_cluster_size(tmp_path):
             "cluster": {"servers": servers},
             "simulation": {"horizon_ms": 10, "accesses_per_segment": 2},
         })
-        assert request.sim.servers_to_simulate == servers
         before = cache.stats.hits
         run_cluster_scale(request.cluster_system(), request.sim,
                           request.cluster, cache=cache)
@@ -396,7 +390,7 @@ def test_cli_cluster_without_scale_flags_runs_one_epoch(capsys, tmp_path):
     direct = run_cluster_scale(
         noharvest(),
         SimulationConfig(horizon_ms=20.0, warmup_ms=4.0,
-                         accesses_per_segment=2, servers_to_simulate=2),
+                         accesses_per_segment=2),
         ClusterScaleConfig(servers=2, epochs=1, epoch_ms=20.0, warmup_ms=4.0),
     )
     assert stats["digest"] == direct.digest()

@@ -7,11 +7,10 @@ Three invariants anchor this layer:
   reproduce the legacy full-payload keys *byte-for-byte*, pinned against
   ``tests/data/golden_cache_keys.json`` so existing on-disk caches keep
   hitting across the optimization.
-* **Format migration** — readers serve legacy v1 entries transparently
-  (the committed ``tests/data/cache_v1`` directory), and every
-  maintenance surface (``disk_stats``, ``prune_stale``, the CLI)
-  understands both formats side by side.  Well-formed JSON of the wrong
-  shape is a corrupt entry, never a crash or a hit.
+* **One format** — entries are compressed v2.  Plain JSON, a legacy v1
+  entry included, is a corrupt entry, never a crash or a hit, and every
+  maintenance surface (``disk_stats``, ``prune_stale``, the CLI) counts
+  it as stale and reclaims it.
 * **Result parity** — split keys, v2 entries and the worker memo give
   bit-identical sweep fingerprints, warm or cold, serial or pooled.
 
@@ -51,25 +50,10 @@ TINY = SimulationConfig(horizon_ms=10.0, warmup_ms=2.0, accesses_per_segment=2)
 PAYLOAD = {"system": {"name": "X"}, "simulation": {"seed": 3}, "server_index": 0}
 RESULT = {"p99": 1.25, "counters": {"lends": 4}}
 
-#: Legacy v1 entries (plain ``json.dumps`` of ``{version, payload,
-#: result}``), written by the v1 writer before it was removed: the
-#: PAYLOAD/RESULT pair plus both points of ``tiny_spec(seeds=(0,))``.
-#: They carry a fixed version string, so package version bumps leave
-#: them current.
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cache_v1")
-V1_VERSION = "v1-fixture"
-
 
 def tiny_spec(n_systems=2, seeds=(0, 1)) -> SweepSpec:
     systems = dict(list(all_systems().items())[:n_systems])
     return SweepSpec(systems=systems, seeds=seeds, sim=TINY)
-
-
-def v1_cache(tmp_path) -> ResultCache:
-    """A cache over a private copy of the v1 fixture directory."""
-    root = str(tmp_path / "cache_v1")
-    shutil.copytree(V1_FIXTURE, root)
-    return ResultCache(root=root, version=V1_VERSION)
 
 
 def fingerprints(results) -> dict:
@@ -122,18 +106,8 @@ def test_fragment_memo_shares_instances_across_points():
 
 
 # ---------------------------------------------------------------------------
-# Cache v2: format, migration, LRU layer, batch APIs
+# Cache v2: format, maintenance, batch APIs
 # ---------------------------------------------------------------------------
-def test_v1_entry_readable_under_v2(tmp_path):
-    cache = v1_cache(tmp_path)
-    key = cache.key(PAYLOAD)
-    with open(cache._path(key), "rb") as fh:
-        assert not fh.read().startswith(V2_MAGIC)  # plain JSON on disk
-    assert cache.get(key) == RESULT  # transparent read, no invalidation
-    assert cache.stats == CacheStats(hits=1)
-    assert cache.read_entry(key)["payload"] == PAYLOAD
-
-
 def test_v2_entries_are_marked_and_compressed(tmp_path):
     cache = ResultCache(root=str(tmp_path))
     big_result = {"rows": [{"i": i, "x": i * 0.5} for i in range(500)]}
@@ -150,24 +124,32 @@ def test_v2_entries_are_marked_and_compressed(tmp_path):
 
 
 def test_mixed_format_disk_stats_and_prune(tmp_path):
-    cache = v1_cache(tmp_path)  # three current v1 entries to start with
-    other = {**PAYLOAD, "server_index": 1}
-    cache.put(cache.key(other), other, RESULT)
+    cache = ResultCache(root=str(tmp_path), version="current")
+    for index in range(2):
+        payload = {**PAYLOAD, "server_index": index}
+        cache.put(cache.key(payload), payload, RESULT)
     stale = ResultCache(root=cache.root, version="0.0.1")
     stale_payload = {**PAYLOAD, "server_index": 2}
     stale.put(stale.key(stale_payload), stale_payload, RESULT)
+    # A legacy v1 entry of the current version: plain JSON, never read.
+    legacy_payload = {**PAYLOAD, "server_index": 3}
+    legacy_path = cache._path(cache.key(legacy_payload))
+    os.makedirs(os.path.dirname(legacy_path), exist_ok=True)
+    with open(legacy_path, "w") as fh:
+        json.dump({"version": "current", "payload": legacy_payload,
+                   "result": RESULT}, fh)
 
     disk = cache.disk_stats()
-    assert disk["entries"] == 5
-    assert disk["by_format"] == {"v1": 3, "v2": 2}
-    assert disk["current"] == 4 and disk["stale"] == 1
-    assert disk["by_version"] == {V1_VERSION: 4, "0.0.1": 1}
+    assert disk["entries"] == 4
+    assert disk["by_format"] == {"v1": 1, "v2": 3}
+    assert disk["current"] == 2 and disk["stale"] == 2
+    assert disk["by_version"] == {"current": 2, "0.0.1": 1, "<corrupt>": 1}
 
-    # prune_stale removes the stale v2 entry, keeps both current formats.
-    assert cache.prune_stale() == 1
+    # prune_stale removes the stale and the legacy entry, keeps the rest.
+    assert cache.prune_stale() == 2
     disk = cache.disk_stats()
-    assert disk["entries"] == 4 and disk["stale"] == 0
-    assert disk["by_format"] == {"v1": 3, "v2": 1}
+    assert disk["entries"] == 2 and disk["stale"] == 0
+    assert disk["by_format"] == {"v2": 2}
 
 
 @pytest.mark.parametrize(
@@ -180,14 +162,16 @@ def test_mixed_format_disk_stats_and_prune(tmp_path):
         '{"version": "VERSION", "result": 5}',
         '{"version": "VERSION", "result": null}',
         '{"result": {}}',
+        '{"version": "VERSION", "payload": {}, "result": {}}',
     ],
     ids=["null", "number", "list", "string", "int-result", "null-result",
-         "no-version"],
+         "no-version", "v1-entry"],
 )
 def test_wrong_shape_v1_entry_is_corrupt(tmp_path, text):
-    """Well-formed JSON of the wrong shape is a corrupt entry everywhere:
-    a miss plus an invalidation that deletes it, ``<corrupt>`` in
-    ``disk_stats``, and removed by ``prune_stale``."""
+    """Plain JSON of any shape, a well-formed v1 entry included, is a
+    corrupt entry everywhere: a miss plus an invalidation that deletes
+    it, ``<corrupt>`` in ``disk_stats``, and removed by
+    ``prune_stale``."""
     cache = ResultCache(root=str(tmp_path))
     key = cache.key(PAYLOAD)
     path = cache._path(key)
@@ -313,7 +297,7 @@ def test_walk_tolerates_shard_vanishing_mid_walk(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Runner: worker memo, compressed chunk IPC, v1 migration
+# Runner: worker memo, compressed chunk IPC
 # ---------------------------------------------------------------------------
 def test_memoized_part_reuses_equal_content():
     import repro.parallel.runner as runner_mod
@@ -352,19 +336,6 @@ def test_init_worker_imports_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == ["False", "True"]
-
-
-def test_run_sweep_serves_every_point_from_v1_directory(tmp_path):
-    """A sweep over the committed v1 directory hits on every point, with
-    results bit-identical to a fresh run: split keys equal the keys the
-    legacy runner wrote, and the reader decodes v1 exactly."""
-    spec = tiny_spec(n_systems=2, seeds=(0,))
-    cache = v1_cache(tmp_path)
-    warm = run_sweep(spec, workers=1, cache=cache)
-    assert warm.from_cache == 2 and warm.computed == 0
-    assert cache.stats.invalidations == 0
-    fresh = run_sweep(spec, workers=1)
-    assert fingerprints(warm.results) == fingerprints(fresh.results)
 
 
 def test_pooled_fast_path_matches_serial(tmp_path):

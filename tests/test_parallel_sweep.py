@@ -403,7 +403,6 @@ def test_run_cluster_scale_workers_path_matches_serial(tmp_path):
     system = build_system(SystemKind.NOHARVEST)
     simcfg = SimulationConfig(
         horizon_ms=12.0, warmup_ms=2.0, accesses_per_segment=3,
-        servers_to_simulate=2,
     )
     cfg = ClusterScaleConfig(servers=2, epochs=1, epoch_ms=12.0, warmup_ms=2.0)
     serial = run_cluster_scale(system, simcfg, cfg).epochs[0].cluster

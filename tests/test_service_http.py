@@ -293,7 +293,7 @@ def test_cluster_digest_matches_direct_runner(client):
 
     direct = run_cluster_scale(
         build_system(SystemKind.HARDHARVEST_BLOCK),
-        sim=SimulationConfig(**TINY_SIM, servers_to_simulate=2),
+        sim=SimulationConfig(**TINY_SIM),
         cfg=ClusterScaleConfig(
             servers=2, requests=800, epochs=2,
             routing=RoutingPolicy("p2c"),

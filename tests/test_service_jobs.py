@@ -126,10 +126,6 @@ class TestParsing:
             parse_job_request(body)
         assert excinfo.value.field == "harvest_max_cores"
 
-    def test_cluster_sim_inherits_server_count(self):
-        request = parse_job_request(cluster_body())
-        assert request.sim.servers_to_simulate == 2
-
     def test_validate_simulation_accepts_defaults(self):
         validate_simulation(SimulationConfig())
 
