@@ -216,15 +216,21 @@ def digest_gate(samples: Dict[str, List[Sample]]) -> Tuple[str, Dict[str, Any]]:
 
 
 def _commit() -> Optional[str]:
-    """This checkout's ``git rev-parse HEAD``, or None outside git."""
-    try:
-        done = subprocess.run(
-            ["git", "-C", _REPO, "rev-parse", "HEAD"],
+    """This checkout's ``git rev-parse HEAD``, with ``-dirty`` appended
+    when ``src/`` or ``benchmarks/`` differ from it (the record then
+    measured code no commit holds); None outside git."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", _REPO, *args],
             capture_output=True, text=True, check=True,
-        )
+        ).stdout.strip()
+
+    try:
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "benchmarks")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return done.stdout.strip()
+    return head + "-dirty" if dirty else head
 
 
 def write_record(
