@@ -293,7 +293,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.cluster_scale.chaos import run_chaos_soak
 
     try:
-        record = run_chaos_soak(
+        outcome = run_chaos_soak(
             system_name=args.system,
             servers=args.servers,
             requests=args.requests,
@@ -311,18 +311,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"chaos soak failed: {exc}", file=sys.stderr)
         return 1
 
-    print(f"\nuninterrupted digest  {record['uninterrupted_digest']}")
-    print(f"resumed digest        {record['resumed_digest']}")
-    print(f"victim killed: {record['killed']}, resumed from epoch "
-          f"{record['resumed_from_epoch']} "
-          f"({record['checkpoints_on_disk']} checkpoint(s) survived)")
-    for entry in record["resilience_curve"]:
+    print(f"\nuninterrupted digest  {outcome['uninterrupted_digest']}")
+    print(f"resumed digest        {outcome['resumed_digest']}")
+    print(f"victim killed: {outcome['killed']}, resumed from epoch "
+          f"{outcome['resumed_from_epoch']} "
+          f"({outcome['checkpoints_on_disk']} checkpoint(s) survived)")
+    for entry in outcome["resilience_curve"]:
         print(f"  epoch {entry['epoch']}: goodput {entry['goodput']:.3f}, "
               f"retry-amp {entry['retry_amplification']:.3f}, "
               f"TTR {entry['recovery_ms_max']:.1f} ms")
     if args.out:
-        _write_stats_json(args.out, record)
-    if record["digests_equal"]:
+        _write_stats_json(args.out, outcome)
+    if outcome["digests_equal"]:
         print("\nrecovery is bit-identical: PASS")
         return 0
     print("\nrecovery digest MISMATCH: the resumed run diverged from the "
