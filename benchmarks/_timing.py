@@ -197,8 +197,8 @@ def best_wall(samples: Iterable[Sample]) -> float:
 def gate(value: Any, minimum: Optional[float] = None) -> Dict[str, Any]:
     """One gate of a record: a figure that passes at ``minimum`` or
     above, or, without a minimum, a condition that passes when true.
-    Pass ``value`` as it should be recorded (rounded), so ``ok`` always
-    agrees with what the record shows."""
+    Pass ``value`` at full precision: the gate records the figure it
+    tested, and a rounded copy elsewhere in the record decides nothing."""
     if minimum is None:
         return {"value": bool(value), "ok": bool(value)}
     return {"value": value, "min": minimum, "ok": value >= minimum}

@@ -185,10 +185,8 @@ def main(argv=None) -> int:
                                    workers=1, config=small)[1],
         }
 
-    warm_speedup = round(min(warm_legacy) / min(warm_fast), 2)
-    compression = round(
-        disk_v1["bytes"] / disk_v2["bytes"] if disk_v2["bytes"] else 0.0, 2
-    )
+    warm_speedup = min(warm_legacy) / min(warm_fast)
+    compression = disk_v1["bytes"] / disk_v2["bytes"] if disk_v2["bytes"] else 0.0
     return write_record(
         "dataplane",
         config={**spec, "workers": args.workers,
@@ -199,10 +197,10 @@ def main(argv=None) -> int:
             "cold_speedup": round(cold_legacy / cold_fast, 2),
             "warm_legacy_s": round(min(warm_legacy), 3),
             "warm_fast_s": round(min(warm_fast), 3),
-            "warm_speedup": warm_speedup,
+            "warm_speedup": round(warm_speedup, 2),
             "disk_v1_bytes": disk_v1["bytes"],
             "disk_v2_bytes": disk_v2["bytes"],
-            "compression_ratio": compression,
+            "compression_ratio": round(compression, 2),
         },
         digest=digests["cold_fast"],
         gates={

@@ -17,9 +17,9 @@ its own ``benchmarks/_driver.py`` process:
 ``bench_results/BENCH_hotpath.json`` gates on every run of every mode
 having one result digest (bit-identity is the hot paths' contract, also
 pinned by ``tests/test_hotpath_parity.py``), on the memory speedup
-(``mem_ref`` over ``fast`` best CPU time) reaching ``--min-mem-speedup``
-and on the combined one (``mem_sched_ref`` over ``fast``) reaching
-``--min-combined-speedup``.
+(``mem_ref`` over ``fast`` best CPU time) reaching
+:data:`MIN_MEM_SPEEDUP` and on the combined one (``mem_sched_ref`` over
+``fast``) reaching :data:`MIN_COMBINED_SPEEDUP`.
 
 Honest-numbers notes:
 
@@ -69,6 +69,10 @@ MODES = {
     "sched_ref": {"REPRO_SCHED_SLOWPATH": "1"},
 }
 
+#: Floors of the memory and the memory+scheduler CPU-time speedups.
+MIN_MEM_SPEEDUP = 1.5
+MIN_COMBINED_SPEEDUP = 1.6
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -77,10 +81,6 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon-ms", type=float, default=60.0)
     parser.add_argument("--warmup-ms", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-mem-speedup", type=float, default=1.5,
-                        help="floor of the memory CPU-time speedup")
-    parser.add_argument("--min-combined-speedup", type=float, default=1.6,
-                        help="floor of the memory+scheduler CPU-time speedup")
     parser.add_argument("--out", default=None,
                         help="output path (default bench_results/BENCH_hotpath.json)")
     args = parser.parse_args(argv)
@@ -102,9 +102,7 @@ def main(argv=None) -> int:
 
     digest, digests_equal = digest_gate(samples)
     cpu = {name: best_cpu(runs) for name, runs in samples.items()}
-    speedup = {
-        name: round(cpu[name] / cpu["fast"], 3) for name in MODES if name != "fast"
-    }
+    speedup = {name: cpu[name] / cpu["fast"] for name in MODES if name != "fast"}
     return write_record(
         "hotpath",
         config={"system": "hardharvest_block", "seed": args.seed,
@@ -115,14 +113,16 @@ def main(argv=None) -> int:
             "wall_s": {
                 name: round(best_wall(runs), 3) for name, runs in samples.items()
             },
-            "speedup_cpu": speedup,
+            "speedup_cpu": {
+                name: round(value, 3) for name, value in speedup.items()
+            },
         },
         digest=digest,
         gates={
             "digests_equal": digests_equal,
-            "mem_speedup_cpu": gate(speedup["mem_ref"], args.min_mem_speedup),
+            "mem_speedup_cpu": gate(speedup["mem_ref"], MIN_MEM_SPEEDUP),
             "combined_speedup_cpu": gate(
-                speedup["mem_sched_ref"], args.min_combined_speedup
+                speedup["mem_sched_ref"], MIN_COMBINED_SPEEDUP
             ),
         },
         out=args.out,

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -127,6 +129,33 @@ def test_chaos_kill_after_out_of_range_exits_2(flags, capsys, monkeypatch):
     rc = main(["chaos", "--servers", "2", "--epochs", "2", *flags])
     assert rc == 2
     assert "chaos: invalid field 'kill_after_epochs'" in capsys.readouterr().err
+
+
+def test_chaos_command_resumes_bit_identical(capsys, tmp_path):
+    """``repro chaos`` end to end at a tiny size: the SIGKILLed victim's
+    resume reproduces the uninterrupted digest, the command exits 0 and
+    ``--out`` holds the soak's outcome."""
+    out = tmp_path / "chaos.json"
+    rc = main(["chaos", "--servers", "2", "--requests", "400", "--epochs", "2",
+               "--horizon-ms", "10", "--accesses", "2", "--out", str(out)])
+    assert rc == 0
+    assert "recovery is bit-identical: PASS" in capsys.readouterr().out
+    outcome = json.loads(out.read_text())
+    assert outcome["digests_equal"] is True
+    assert outcome["resumed_digest"] == outcome["uninterrupted_digest"]
+    assert outcome["resumed_from_epoch"] >= 1
+
+
+def test_chaos_command_exits_1_on_a_digest_mismatch(capsys, monkeypatch):
+    import repro.cluster_scale.chaos as chaos
+
+    monkeypatch.setattr(chaos, "run_chaos_soak", lambda **kwargs: {
+        "uninterrupted_digest": "a" * 64, "resumed_digest": "b" * 64,
+        "digests_equal": False, "killed": True, "resumed_from_epoch": 1,
+        "checkpoints_on_disk": 1, "resilience_curve": [],
+    })
+    assert main(["chaos"]) == 1
+    assert "recovery digest MISMATCH" in capsys.readouterr().err
 
 
 def test_run_command_missing_config_exits_2(capsys, tmp_path):
